@@ -11,6 +11,10 @@ any cycle, two branch vertices, a branch vertex of degree >= 4, or a
 label pattern outside the catalogue makes the component infinite.  Group
 orders come from the standard closed forms and are unit-tested against
 explicit enumeration.
+
+Spherical subsets are closed under taking subsets, so enumeration grows
+them one generator at a time from spherical sets only: it costs about
+n x (number of spherical subsets) classifications, not 2^n.
 """
 
 from __future__ import annotations
@@ -176,12 +180,17 @@ def _classify_cached(matrix: CoxeterMatrix, members: frozenset[int]) -> Spherica
     return SphericalVerdict(spherical, labelled, order)
 
 
+def _check_generators(matrix: CoxeterMatrix, indices) -> None:
+    n = matrix.n
+    for s in indices:
+        if not 0 <= s < n:
+            raise ValueError(f"generator index {s!r} out of range [0, {n})")
+
+
 def classify(matrix: CoxeterMatrix, members) -> SphericalVerdict:
     """Component decomposition, catalogue labels and group order of W_T."""
     T = frozenset(members)
-    for s in T:
-        if not 0 <= s < matrix.n:
-            raise ValueError(f"generator index {s!r} out of range [0, {matrix.n})")
+    _check_generators(matrix, T)
     return _classify_cached(matrix, T)
 
 
@@ -189,27 +198,61 @@ def is_spherical(matrix: CoxeterMatrix, members) -> bool:
     return classify(matrix, members).spherical
 
 
+# The lemma suite asks for the family of one matrix once per ball element.
+@lru_cache(maxsize=8)
+def _spherical_family(matrix: CoxeterMatrix) -> tuple[frozenset[int], ...]:
+    """Every spherical subset, by size, each size in the order of combinations().
+
+    Each spherical U of size r+1 is T | {s} for the spherical T = U - {max U},
+    so extending every T of size r only by generators above max(T) reaches
+    U exactly once, and in lexicographic order.
+    """
+    gens = matrix.generators()
+    infinite = [frozenset(t for t in gens if matrix.is_infinite(s, t)) for s in gens]
+    linked = [frozenset(t for t in gens if matrix.m(s, t) >= 3) for s in gens]
+    finite: dict[frozenset[int], bool] = {}  # per connected component
+
+    def extends(T: frozenset[int], s: int) -> bool:
+        # T is spherical, so only the component of s in T | {s} can be infinite.
+        if not infinite[s].isdisjoint(T):
+            return False
+        comp, frontier = {s}, [s]
+        while frontier:
+            joined = (linked[frontier.pop()] & T) - comp
+            comp |= joined
+            frontier.extend(joined)
+        comp = frozenset(comp)
+        if comp not in finite:
+            finite[comp] = _classify_component(matrix, sorted(comp)).finite
+        return finite[comp]
+
+    family = [frozenset()]
+    level = family
+    while level:
+        level = [
+            T | {s}
+            for T in level
+            for s in range(max(T, default=-1) + 1, matrix.n)
+            if extends(T, s)
+        ]
+        family.extend(level)
+    return tuple(family)
+
+
 def spherical_subsets(matrix: CoxeterMatrix) -> list[frozenset[int]]:
     """Every subset spanning a finite parabolic subgroup, smallest first."""
-    gens = list(matrix.generators())
-    out = []
-    for r in range(len(gens) + 1):
-        for comb in combinations(gens, r):
-            T = frozenset(comb)
-            if is_spherical(matrix, T):
-                out.append(T)
-    return out
+    return list(_spherical_family(matrix))
 
 
 def maximal_spherical_subsets(matrix: CoxeterMatrix) -> list[frozenset[int]]:
     """All spherical subsets with no spherical strict superset."""
-    spherical = spherical_subsets(matrix)
-    out = []
-    for T in spherical:
-        extensions = (T | {s} for s in matrix.generators() if s not in T)
-        if all(not is_spherical(matrix, ext) for ext in extensions):
-            out.append(T)
-    return sorted(out, key=lambda T: sorted(T))
+    family = _spherical_family(matrix)
+    spherical = set(family)
+    out = [
+        T for T in family
+        if not any(T | {s} in spherical for s in matrix.generators() if s not in T)
+    ]
+    return sorted(out, key=sorted)
 
 
 @dataclass(frozen=True)
@@ -226,9 +269,11 @@ def hypothesis_check(matrix: CoxeterMatrix, members, s0: int) -> HypothesisRepor
     are the witnesses).  s0 cannot lie in T since m(s0, s0) = 1.
     """
     T = frozenset(members)
+    _check_generators(matrix, (*T, s0))
     witnesses = tuple(t for t in sorted(T) if matrix.m(s0, t) == INF)
-    maximal = is_spherical(matrix, T) and all(
-        not is_spherical(matrix, T | {s}) for s in matrix.generators() if s not in T
+    # T and s0 are checked, so the extensions of T need no second check.
+    maximal = _classify_cached(matrix, T).spherical and not any(
+        _classify_cached(matrix, T | {s}).spherical for s in matrix.generators() if s not in T
     )
     bounded_below = all(matrix.m(s0, t) >= 3 for t in T)
     return HypothesisReport(

@@ -1,5 +1,6 @@
 """Catalogue recognition against explicit enumeration and known orders."""
 
+import random
 from itertools import combinations
 
 import pytest
@@ -192,3 +193,77 @@ def test_hypothesis_check_examples(a2, g1):
 
     for s0 in range(a2.matrix.n):
         assert not hypothesis_check(a2.matrix, {0, 1}, s0).ok
+
+
+@pytest.mark.parametrize("index", [-3, -1, 3, 7])
+def test_hypothesis_check_rejects_out_of_range_s0(g1, index):
+    with pytest.raises(ValueError, match=f"generator index {index} out of range"):
+        hypothesis_check(g1.matrix, g1.subset("t0,t1"), index)
+
+
+@pytest.mark.parametrize("index", [-1, 3])
+def test_hypothesis_check_rejects_out_of_range_members(g1, index):
+    with pytest.raises(ValueError, match=f"generator index {index} out of range"):
+        hypothesis_check(g1.matrix, {g1.index("t1"), index}, g1.index("s0"))
+
+
+def _random_matrix(rng, n):
+    table = [[1 if i == j else 2 for j in range(n)] for i in range(n)]
+    share = rng.random()  # from nearly commuting to nearly complete diagrams
+    for i, j in combinations(range(n), 2):
+        if rng.random() < share:
+            table[i][j] = table[j][i] = rng.choice([3, 4, 5, 6, 7, "inf"])
+    return validate_matrix(table)
+
+
+def _subset_scan(matrix):
+    """Reference: classify every one of the 2^n subsets."""
+    gens = range(matrix.n)
+    spherical = [
+        frozenset(comb)
+        for r in range(matrix.n + 1)
+        for comb in combinations(gens, r)
+        if is_spherical(matrix, comb)
+    ]
+    maximal = [
+        T for T in spherical
+        if all(not is_spherical(matrix, T | {s}) for s in gens if s not in T)
+    ]
+    return spherical, sorted(maximal, key=sorted)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_enumeration_matches_subset_scan(seed):
+    rng = random.Random(f"spherical-enumeration:{seed}")
+    matrix = _random_matrix(rng, rng.randint(0, 10))
+    spherical, maximal = _subset_scan(matrix)
+    assert spherical_subsets(matrix) == spherical
+    assert maximal_spherical_subsets(matrix) == maximal
+
+
+def test_spherical_subsets_returns_a_fresh_list(b3):
+    first = spherical_subsets(b3.matrix)
+    first.clear()
+    assert len(spherical_subsets(b3.matrix)) == 8
+
+
+def test_maximal_spherical_at_rank_255_all_infinite():
+    n = 255
+    matrix = validate_matrix([[1 if i == j else "inf" for j in range(n)] for i in range(n)])
+    singletons = [frozenset({s}) for s in range(n)]
+    assert maximal_spherical_subsets(matrix) == singletons
+    assert spherical_subsets(matrix) == [frozenset()] + singletons
+
+
+def test_maximal_spherical_of_a2_blocks_joined_by_infinity():
+    # 30 A2 blocks {2k, 2k+1}; every pair of generators in different blocks
+    # has m = inf, so the blocks are the maximal spherical subsets.
+    n = 60
+    table = [["inf"] * n for _ in range(n)]
+    for k in range(0, n, 2):
+        table[k][k] = table[k + 1][k + 1] = 1
+        table[k][k + 1] = table[k + 1][k] = 3
+    matrix = validate_matrix(table)
+    blocks = [frozenset({k, k + 1}) for k in range(0, n, 2)]
+    assert maximal_spherical_subsets(matrix) == blocks
+    assert len(spherical_subsets(matrix)) == 1 + n + len(blocks)
