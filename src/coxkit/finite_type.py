@@ -180,17 +180,10 @@ def _classify_cached(matrix: CoxeterMatrix, members: frozenset[int]) -> Spherica
     return SphericalVerdict(spherical, labelled, order)
 
 
-def _check_generators(matrix: CoxeterMatrix, indices) -> None:
-    n = matrix.n
-    for s in indices:
-        if not 0 <= s < n:
-            raise ValueError(f"generator index {s!r} out of range [0, {n})")
-
-
 def classify(matrix: CoxeterMatrix, members) -> SphericalVerdict:
     """Component decomposition, catalogue labels and group order of W_T."""
     T = frozenset(members)
-    _check_generators(matrix, T)
+    matrix.pack(T)
     return _classify_cached(matrix, T)
 
 
@@ -269,7 +262,7 @@ def hypothesis_check(matrix: CoxeterMatrix, members, s0: int) -> HypothesisRepor
     are the witnesses).  s0 cannot lie in T since m(s0, s0) = 1.
     """
     T = frozenset(members)
-    _check_generators(matrix, (*T, s0))
+    matrix.pack((*T, s0))
     witnesses = tuple(t for t in sorted(T) if matrix.m(s0, t) == INF)
     # T and s0 are checked, so the extensions of T need no second check.
     maximal = _classify_cached(matrix, T).spherical and not any(

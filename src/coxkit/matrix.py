@@ -27,9 +27,28 @@ class CoxeterMatrix:
 
     orders: tuple[tuple[int | float, ...], ...]
 
+    def __post_init__(self) -> None:
+        # The package's caches are keyed by the matrix: hash the n x n table once.
+        object.__setattr__(self, "_hash", hash(self.orders))
+
+    def __hash__(self) -> int:
+        return self._hash
+
     @property
     def n(self) -> int:
         return len(self.orders)
+
+    def pack(self, indices) -> bytes:
+        """``indices`` as bytes; ValueError names the first one outside [0, n)."""
+        letters = tuple(indices)
+        try:
+            packed = bytes(letters)
+            if not packed or max(packed) < self.n:
+                return packed
+        except (TypeError, ValueError):
+            pass
+        bad = next(s for s in letters if not (isinstance(s, int) and 0 <= s < self.n))
+        raise ValueError(f"generator index {bad!r} out of range [0, {self.n})")
 
     def m(self, s: int, t: int) -> int | float:
         return self.orders[s][t]

@@ -160,6 +160,7 @@ class Ball:
 
     def edge(self, element: Element, s: int) -> Element | None:
         """The neighbour element.s, or None when it falls outside the ball."""
+        self.matrix.pack((s,))
         v = self._edges[self._vertex(element)][s]
         if v < 0:
             return None
@@ -176,13 +177,12 @@ class Ball:
 
     def resolve(self, letters) -> Element:
         """Walk a word edge by edge from the identity to its vertex."""
+        word = self.matrix.pack(letters)
         v = 0
-        for s in letters:
+        for s in word:
             v = self._edges[v][s]
             if v < 0:
-                raise ValueError(
-                    f"word of length {len(tuple(letters))} leaves ball({self.radius})"
-                )
+                raise ValueError(f"word of length {len(word)} leaves ball({self.radius})")
         return Element(self.matrix, tuple(self._words[v]))
 
     def to_dot(self, names=None) -> str:
@@ -201,15 +201,15 @@ class Ball:
         return "\n".join(lines)
 
 
-def ball(matrix: CoxeterMatrix, radius: int, max_elements: int = DEFAULT_SIZE_BUDGET) -> Ball:
-    """Enumerate every element of length <= radius."""
-    if radius < 0:
-        raise ValueError("radius must be >= 0")
+def _build(matrix: CoxeterMatrix, radius: int | None, max_elements: int) -> Ball:
+    """BFS to ``radius``, or to closure when it is None, then label every vertex."""
     depths, edges, closed = _bfs(matrix, radius, max_elements)
+    if radius is None and not closed:
+        raise RuntimeError("the Cayley BFS stopped with unexplored edges; this signals a defect")
     words = _canonical_labels(matrix.n, depths, edges)
     return Ball(
         matrix=matrix,
-        radius=radius,
+        radius=max(depths) if radius is None else radius,
         closed=closed,
         _depths=tuple(depths),
         _edges=tuple(tuple(row) for row in edges),
@@ -218,20 +218,16 @@ def ball(matrix: CoxeterMatrix, radius: int, max_elements: int = DEFAULT_SIZE_BU
     )
 
 
+def ball(matrix: CoxeterMatrix, radius: int, max_elements: int = DEFAULT_SIZE_BUDGET) -> Ball:
+    """Enumerate every element of length <= radius."""
+    if radius < 0:
+        raise ValueError("radius must be >= 0")
+    return _build(matrix, radius, max_elements)
+
+
 def full_group(matrix: CoxeterMatrix, max_elements: int = DEFAULT_SIZE_BUDGET) -> Ball:
     """Enumerate a finite group to closure; raises the budget error otherwise."""
-    depths, edges, closed = _bfs(matrix, None, max_elements)
-    assert closed
-    words = _canonical_labels(matrix.n, depths, edges)
-    return Ball(
-        matrix=matrix,
-        radius=max(depths),
-        closed=True,
-        _depths=tuple(depths),
-        _edges=tuple(tuple(row) for row in edges),
-        _words=tuple(words),
-        _index={w: v for v, w in enumerate(words)},
-    )
+    return _build(matrix, None, max_elements)
 
 
 @lru_cache(maxsize=1 << 12)

@@ -123,8 +123,7 @@ class Element:
 
     @staticmethod
     def generator(matrix: CoxeterMatrix, s: int) -> "Element":
-        if not 0 <= s < matrix.n:
-            raise ValueError(f"generator index {s} out of range [0, {matrix.n})")
+        matrix.pack((s,))
         return Element(matrix, (s,))
 
     @property
@@ -146,23 +145,14 @@ class Element:
         return "Element(" + ".".join(str(s) for s in self.letters) + ")"
 
 
-def _check_word(matrix: CoxeterMatrix, letters) -> tuple[int, ...]:
-    word = tuple(letters)
-    for s in word:
-        if not isinstance(s, int) or not 0 <= s < matrix.n:
-            raise ValueError(f"letter {s!r} is not a generator index in [0, {matrix.n})")
-    return word
-
-
 def reduce_word(matrix: CoxeterMatrix, letters, budget: int = DEFAULT_CLOSURE_BUDGET) -> Element:
     """Canonical form of the element spelled by ``letters``."""
-    word = _check_word(matrix, letters)
-    return Element(matrix, tuple(_reduce_bytes(matrix, bytes(word), budget)))
+    return Element(matrix, tuple(_reduce_bytes(matrix, matrix.pack(letters), budget)))
 
 
 def is_reduced(matrix: CoxeterMatrix, letters, budget: int = DEFAULT_CLOSURE_BUDGET) -> bool:
-    word = _check_word(matrix, letters)
-    return reduce_word(matrix, word, budget).length == len(word)
+    word = matrix.pack(letters)
+    return len(_reduce_bytes(matrix, word, budget)) == len(word)
 
 
 def _require_same_system(u: Element, v: Element) -> None:

@@ -253,6 +253,8 @@ def test_maximal_spherical_at_rank_255_all_infinite():
     singletons = [frozenset({s}) for s in range(n)]
     assert maximal_spherical_subsets(matrix) == singletons
     assert spherical_subsets(matrix) == [frozenset()] + singletons
+    report = hypothesis_check(matrix, {0}, 1)
+    assert report.ok and report.witnesses == (0,)
 
 
 def test_maximal_spherical_of_a2_blocks_joined_by_infinity():

@@ -12,6 +12,7 @@ from coxkit import (
     coset_elements,
     full_group,
     longest_in_coset_oracle,
+    oracle,
     reduce_word,
 )
 
@@ -63,8 +64,27 @@ def test_resolve_agrees_with_reduce(b3, ta2, g1):
 
 def test_resolve_rejects_escaping_words(a2):
     b = ball(a2.matrix, 2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="word of length 3 leaves ball"):
         b.resolve(a2.word("a,b,a"))
+    with pytest.raises(ValueError, match="word of length 3 leaves ball"):
+        b.resolve(iter(a2.word("a,b,a")))
+
+
+@pytest.mark.parametrize("index", [-1, 2])
+def test_ball_rejects_out_of_range_generators(a2, index):
+    b = ball(a2.matrix, 3)
+    message = f"generator index {index} out of range"
+    with pytest.raises(ValueError, match=message):
+        b.resolve((index,))
+    with pytest.raises(ValueError, match=message):
+        b.edge(Element.identity(a2.matrix), index)
+
+
+def test_full_group_raises_when_bfs_leaves_edges_open(a2, monkeypatch):
+    bfs = oracle._bfs
+    monkeypatch.setattr(oracle, "_bfs", lambda *args: (*bfs(*args)[:2], False))
+    with pytest.raises(RuntimeError, match="unexplored edges"):
+        full_group(a2.matrix)
 
 
 def test_size_budget(a3):

@@ -70,8 +70,14 @@ def test_multiply_rejects_mixed_systems(a2, a3):
 
 
 def test_word_letters_validated(a2):
-    with pytest.raises(ValueError):
-        reduce_word(a2.matrix, (0, 5))
+    for letter in (-1, 2, 5, 256, "a", 1.5):
+        message = f"generator index {letter!r} out of range \\[0, 2\\)"
+        with pytest.raises(ValueError, match=message):
+            reduce_word(a2.matrix, (0, letter))
+        with pytest.raises(ValueError, match=message):
+            is_reduced(a2.matrix, (0, letter))
+        with pytest.raises(ValueError, match=message):
+            Element.generator(a2.matrix, letter)
 
 
 def test_right_descents_examples(a2, g1):
