@@ -31,7 +31,6 @@ from .errors import (
     NotReducedAt,
     OffDiagonalBelowTwo,
     SizeBudgetExceeded,
-    StaleRepresentative,
 )
 from .finite_type import (
     HypothesisReport,

@@ -128,6 +128,8 @@ def _cmd_longest_coset(args) -> int:
 
 
 def _cmd_lemma_suite(args) -> int:
+    if not args.system and not args.config:
+        raise ValueError("lemma-suite needs at least one --system or --config")
     reports = []
     for name in args.system or []:
         config = preset(name)

@@ -6,13 +6,17 @@ satisfies l(v) = l(v.w^-1) + l(w).  We track the pair x = v.w^-1 in W_T
 together with v, and evolve x incrementally along length-increasing
 extensions of w: appending a letter either leaves x unchanged or deletes
 exactly one letter from it, so l(x) never increases.
+
+Pairs come from `longest_in_coset` (which checks that T is spherical) or
+an earlier `coset_step`, which trusts its pair the way `multiply` trusts
+an `Element`; `CosetLongest.check` recomputes the invariants for tests.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import LengthDecreases, NonSphericalSubset, StaleRepresentative
+from .errors import LengthDecreases, NonSphericalSubset
 from .finite_type import is_spherical
 from .matrix import INF
 from .words import Element, inverse, multiply, reduce_word, right_descents
@@ -70,53 +74,50 @@ def longest_in_coset(members, w: Element) -> CosetLongest:
 
 @dataclass(frozen=True)
 class StepOutcome:
-    """Evolution of x when the base word grows by one ascending letter.
+    """The pair after the base word grows by one ascending letter.
 
     ``deleted_index`` is None when x is unchanged, else the position in
     the ShortLex canonical word of the previous x whose removal produces
     the new one.
     """
 
-    x_next: Element
+    pair: CosetLongest
     deleted_index: int | None
+
+    @property
+    def x_next(self) -> Element:
+        return self.pair.x
 
     @property
     def unchanged(self) -> bool:
         return self.deleted_index is None
 
 
-def coset_step(members, w: Element, s: int, x: Element) -> StepOutcome:
-    """Update the longest-coset pair for w -> w.s with l(w.s) = l(w) + 1.
+def coset_step(pair: CosetLongest, s: int) -> StepOutcome:
+    """Advance the longest-coset pair from w to w.s, where l(w.s) = l(w) + 1.
 
-    Either x survives (when v.s still ascends) or the cosets W_T.w and
-    W_T.w.s coincide and the new x is the old one with a single letter
-    deleted; in both cases l(x) cannot grow.
+    Either x survives (when v.s still ascends; v.s is the new top) or the
+    cosets W_T.w and W_T.w.s coincide, v stays on top and the new x is the
+    old one with a single letter deleted; in both cases l(x) cannot grow.
     """
-    T = frozenset(members)
+    w, v, x = pair.base, pair.v, pair.x
     matrix = w.matrix
-    if not is_spherical(matrix, T):
-        raise NonSphericalSubset(T)
-    ws = multiply(w, Element.generator(matrix, s))
+    g = Element.generator(matrix, s)
+    ws = multiply(w, g)
     if ws.length != w.length + 1:
         raise LengthDecreases(
             f"letter {s} shortens the base word (length {w.length} -> {ws.length})"
         )
-    v = multiply(x, w)
-    pair = CosetLongest(x=x, v=v, base=w)
-    if not pair.check(T):
-        raise StaleRepresentative(
-            f"{x!r} is not the longest-coset representative for the given base"
-        )
-    vs = multiply(v, Element.generator(matrix, s))
+    vs = multiply(v, g)
     if vs.length == v.length + 1:
-        return StepOutcome(x_next=x, deleted_index=None)
+        return StepOutcome(CosetLongest(x=x, v=vs, base=ws), deleted_index=None)
     # v.s went down: W_T.w.s = W_T.w, v itself stays on top, and the new
     # x is v.(w.s)^-1, obtained from x by deleting one letter.
     x_next = multiply(v, inverse(ws))
     word = x.letters
     for i in range(len(word)):
         if reduce_word(matrix, word[:i] + word[i + 1:]) == x_next:
-            return StepOutcome(x_next=x_next, deleted_index=i)
+            return StepOutcome(CosetLongest(x=x_next, v=v, base=ws), deleted_index=i)
     raise RuntimeError(
         "single-letter deletion relating x and x' not found; this violates "
         "the coset evolution law and signals a defect"

@@ -78,10 +78,6 @@ class LengthDecreases(CoxeterError):
     """A coset step was asked for a letter that shortens the base word."""
 
 
-class StaleRepresentative(CoxeterError):
-    """The supplied coset representative fails its own invariants."""
-
-
 class NotReducedAt(CoxeterError):
     """An infinite-word prefix stopped being reduced at letter ``index``."""
 

@@ -191,9 +191,7 @@ def is_spherical(matrix: CoxeterMatrix, members) -> bool:
     return classify(matrix, members).spherical
 
 
-# The lemma suite asks for the family of one matrix once per ball element.
-@lru_cache(maxsize=8)
-def _spherical_family(matrix: CoxeterMatrix) -> tuple[frozenset[int], ...]:
+def spherical_subsets(matrix: CoxeterMatrix) -> list[frozenset[int]]:
     """Every spherical subset, by size, each size in the order of combinations().
 
     Each spherical U of size r+1 is T | {s} for the spherical T = U - {max U},
@@ -229,17 +227,12 @@ def _spherical_family(matrix: CoxeterMatrix) -> tuple[frozenset[int], ...]:
             if extends(T, s)
         ]
         family.extend(level)
-    return tuple(family)
-
-
-def spherical_subsets(matrix: CoxeterMatrix) -> list[frozenset[int]]:
-    """Every subset spanning a finite parabolic subgroup, smallest first."""
-    return list(_spherical_family(matrix))
+    return family
 
 
 def maximal_spherical_subsets(matrix: CoxeterMatrix) -> list[frozenset[int]]:
     """All spherical subsets with no spherical strict superset."""
-    family = _spherical_family(matrix)
+    family = spherical_subsets(matrix)
     spherical = set(family)
     out = [
         T for T in family

@@ -77,11 +77,13 @@ def _bfs(matrix: CoxeterMatrix, radius: int | None, max_elements: int):
                     for j in range(m - 1):
                         lab2 = s if (m - 2 - j) % 2 == 0 else t
                         up = edges[up][lab2]
-                        assert up >= 0, "polygon side missing below the frontier"
+                        if up < 0:
+                            raise RuntimeError("polygon side missing below the frontier; this signals a defect")
                     slots.append((up, t))
                     known = edges[up][t]
                     if known != -1:
-                        assert target in (-1, known), "inconsistent polygon tops"
+                        if target not in (-1, known):
+                            raise RuntimeError("inconsistent polygon tops; this signals a defect")
                         target = known
                 if target == -1:
                     if len(depths) >= max_elements:
@@ -90,8 +92,8 @@ def _bfs(matrix: CoxeterMatrix, radius: int | None, max_elements: int):
                     depths.append(k + 1)
                     edges.append([-1] * n)
                 for x, r in slots:
-                    assert edges[x][r] in (-1, target)
-                    assert edges[target][r] in (-1, x)
+                    if edges[x][r] not in (-1, target) or edges[target][r] not in (-1, x):
+                        raise RuntimeError("conflicting Cayley edges; this signals a defect")
                     edges[x][r] = target
                     edges[target][r] = x
         lo, hi = hi, len(depths)
@@ -113,7 +115,8 @@ def _canonical_labels(n: int, depths: list[int], edges: list[list[int]]) -> list
                 cand = words[u] + bytes((s,))
                 if best is None or cand < best:
                     best = cand
-        assert best is not None, "vertex with no down edge"
+        if best is None:
+            raise RuntimeError("vertex with no down edge; this signals a defect")
         words[v] = best
     return words
 
@@ -133,8 +136,12 @@ class Ball:
     def __len__(self) -> int:
         return len(self._depths)
 
+    def _owns(self, element: Element) -> bool:
+        # `is` first: elements taken from the ball share its matrix, and edge lookups are hot.
+        return element.matrix is self.matrix or element.matrix == self.matrix
+
     def __contains__(self, element: Element) -> bool:
-        return bytes(element.letters) in self._index
+        return self._owns(element) and bytes(element.letters) in self._index
 
     @property
     def elements(self) -> list[Element]:
@@ -150,6 +157,8 @@ class Ball:
         return tuple(counts)
 
     def _vertex(self, element: Element) -> int:
+        if not self._owns(element):
+            raise ValueError(f"{element!r} belongs to a different Coxeter system than the ball")
         try:
             return self._index[bytes(element.letters)]
         except KeyError:
@@ -243,7 +252,8 @@ def _parabolic_elements(matrix: CoxeterMatrix, members: frozenset[int]) -> tuple
         Element(matrix, tuple(back[c] for c in w))
         for w in group._words
     ]
-    assert len(out) == verdict.order
+    if len(out) != verdict.order:
+        raise RuntimeError(f"W_{sorted(members)} has {len(out)} elements, not {verdict.order}; this signals a defect")
     return tuple(sorted(out, key=Element.sort_key))
 
 

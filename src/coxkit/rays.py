@@ -19,8 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 from .cosets import coset_step, in_WT_class, longest_in_coset
-from .errors import HypothesisFailed, NonSphericalSubset, NotReducedAt
-from .finite_type import hypothesis_check, is_spherical
+from .errors import HypothesisFailed, LengthDecreases, NotReducedAt
+from .finite_type import hypothesis_check
 from .matrix import CoxeterMatrix
 from .words import Element, inverse, multiply
 
@@ -125,25 +125,19 @@ def stabilize(members, ray, horizon: int = DEFAULT_HORIZON, matrix: CoxeterMatri
         matrix = ray.matrix
     elif matrix is None:
         raise ValueError("a plain letter sequence needs an explicit matrix")
-    T = frozenset(members)
-    if not is_spherical(matrix, T):
-        raise NonSphericalSubset(T)
     letters, prefix_len, period_len = _ray_letters(ray, horizon)
 
     steps: list[TraceStep] = []
-    w = Element.identity(matrix)
-    x = None
-    for i in range(1, horizon + 1):
-        s = letters[i - 1]
-        w_next = multiply(w, Element.generator(matrix, s))
-        if w_next.length != i:
-            raise NotReducedAt(i)
-        if x is None:
-            x = longest_in_coset(T, w_next).x
+    pair = None
+    for i, s in enumerate(letters, 1):
+        if pair is None:
+            pair = longest_in_coset(members, Element.generator(matrix, s))
         else:
-            x = coset_step(T, w, s, x).x_next
-        steps.append(TraceStep(i=i, w=w_next, x=x, len_x=x.length))
-        w = w_next
+            try:
+                pair = coset_step(pair, s).pair
+            except LengthDecreases:
+                raise NotReducedAt(i) from None
+        steps.append(TraceStep(i=i, w=pair.base, x=pair.x, len_x=pair.x.length))
 
     if not steps:
         raise ValueError("horizon must be >= 1")

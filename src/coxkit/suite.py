@@ -83,6 +83,7 @@ def lemma_suite(config: SystemConfig, radius: int) -> SuiteReport:
     big = oracle.ball(matrix, radius + 1)
     inner = [e for e in big.elements if e.length <= radius]
     word_cap = min(radius, WORD_SWEEP_CAP)
+    family = spherical_subsets(matrix)
     checks: list[CheckResult] = []
 
     def run(check_name, fn):
@@ -187,7 +188,7 @@ def lemma_suite(config: SystemConfig, radius: int) -> SuiteReport:
         count, bad = 0, []
         cap = min(radius, COSET_RADIUS_CAP)
         small = [e for e in inner if e.length <= cap]
-        for T in spherical_subsets(matrix):
+        for T in family:
             for w in small:
                 count += 1
                 try:
@@ -216,26 +217,28 @@ def lemma_suite(config: SystemConfig, radius: int) -> SuiteReport:
         count, bad = 0, []
         cap = min(radius, STEP_RADIUS_CAP)
         small = [e for e in inner if e.length <= cap]
-        for T in spherical_subsets(matrix):
+        for T in family:
             for w in small:
-                x = cosets.longest_in_coset(T, w).x
+                pair = cosets.longest_in_coset(T, w)
                 for s in range(matrix.n):
                     ws = multiply(w, Element.generator(matrix, s))
                     if ws.length != w.length + 1:
                         continue
                     count += 1
-                    outcome = cosets.coset_step(T, w, s, x)
+                    outcome = cosets.coset_step(pair, s)
                     fresh = cosets.longest_in_coset(T, ws).x
                     if outcome.x_next != fresh:
                         bad.append(f"step != scratch at W_{sorted(T)}, w={_spell(config, w)}, s={config.names[s]}")
-                    if outcome.x_next.length > x.length:
+                    if outcome.pair.base != ws or not outcome.pair.check(T):
+                        bad.append(f"stepped pair invalid at W_{sorted(T)}, w={_spell(config, w)}, s={config.names[s]}")
+                    if outcome.x_next.length > pair.x.length:
                         bad.append(f"l(x') grew at W_{sorted(T)}, w={_spell(config, w)}, s={config.names[s]}")
                     if outcome.unchanged:
-                        if outcome.x_next != x:
+                        if outcome.x_next != pair.x:
                             bad.append(f"unchanged but different x at w={_spell(config, w)}")
                     else:
                         i = outcome.deleted_index
-                        dropped = reduce_word(matrix, x.letters[:i] + x.letters[i + 1:])
+                        dropped = reduce_word(matrix, pair.x.letters[:i] + pair.x.letters[i + 1:])
                         if dropped != outcome.x_next:
                             bad.append(f"deletion index wrong at w={_spell(config, w)}, s={config.names[s]}")
         return count, bad
@@ -259,7 +262,7 @@ def lemma_suite(config: SystemConfig, radius: int) -> SuiteReport:
             if not cosets.in_WT_class(e, T):
                 bad.append(f"element {_spell(config, e)} not in its own class")
             others = sum(
-                1 for U in spherical_subsets(matrix)
+                1 for U in family
                 if U != T and cosets.in_WT_class(e, U)
             )
             if others:

@@ -133,7 +133,7 @@ def test_criterion_6_coset_step_evolution():
                     if ws.length != w.length + 1:
                         continue
                     checked += 1
-                    out = ck.coset_step(T, w, s, x)
+                    out = ck.coset_step(ck.longest_in_coset(T, w), s)
                     fresh = ck.longest_in_coset(T, ws).x
                     if out.x_next != fresh:
                         failures.append(f"{cfg.label}: step != scratch at T={sorted(T)}, w={w!r}, s={s}")

@@ -144,9 +144,11 @@ def test_lemma_suite_pass_and_exit_codes(capsys):
 
 
 def test_lemma_suite_empty_system_list(capsys):
-    code, out, _ = run(capsys, "lemma-suite", "--radius", "3")
-    assert code == 0
-    assert json.loads(out) == {"ok": True, "systems": []}
+    # A sweep over no systems checks nothing, so it must not pass.
+    code, out, err = run(capsys, "lemma-suite", "--radius", "3")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "--system or --config" in err
 
 
 def test_lemma_suite_failure_exits_1(capsys, monkeypatch):

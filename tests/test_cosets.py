@@ -6,7 +6,6 @@ from coxkit import (
     Element,
     LengthDecreases,
     NonSphericalSubset,
-    StaleRepresentative,
     ball,
     coset_elements,
     coset_step,
@@ -96,17 +95,20 @@ def test_coset_step_examples(g1):
     s0 = reduce_word(g1.matrix, g1.word("s0"))
     x = reduce_word(g1.matrix, g1.word("t0,t1"))
 
-    out = coset_step(T, s0, g1.index("t0"), x)
+    out = coset_step(longest_in_coset(T, s0), g1.index("t0"))
     assert out.unchanged
     assert out.x_next == x
+    assert g1.spell(out.pair.base) == ["s0", "t0"]
+    assert g1.spell(out.pair.v) == ["t0", "t1", "s0", "t0"]
 
     e = Element.identity(g1.matrix)
-    out = coset_step(T, e, g1.index("t0"), x)
+    out = coset_step(longest_in_coset(T, e), g1.index("t0"))
     assert out.deleted_index == 0
     assert g1.spell(out.x_next) == ["t1"]
+    assert g1.spell(out.pair.v) == ["t0", "t1"]
 
     w = reduce_word(g1.matrix, g1.word("s0,t1"))
-    out = coset_step(frozenset(), w, g1.index("t0"), e)
+    out = coset_step(longest_in_coset(frozenset(), w), g1.index("t0"))
     assert out.unchanged
     assert out.x_next == e
 
@@ -114,13 +116,8 @@ def test_coset_step_examples(g1):
 def test_coset_step_precondition_errors(g1):
     T = g1.subset("t0,t1")
     t0 = reduce_word(g1.matrix, g1.word("t0"))
-    x = longest_in_coset(T, t0).x
     with pytest.raises(LengthDecreases):
-        coset_step(T, t0, g1.index("t0"), x)
-
-    s0 = reduce_word(g1.matrix, g1.word("s0"))
-    with pytest.raises(StaleRepresentative):
-        coset_step(T, s0, g1.index("t0"), Element.identity(g1.matrix))
+        coset_step(longest_in_coset(T, t0), g1.index("t0"))
 
 
 def test_coset_step_matches_scratch_everywhere(a3, b3, ta2, g1):
@@ -129,12 +126,15 @@ def test_coset_step_matches_scratch_everywhere(a3, b3, ta2, g1):
         small = [e for e in b.elements if e.length <= 3]
         for T in spherical_subsets(cfg.matrix):
             for w in small:
-                x = longest_in_coset(T, w).x
+                pair = longest_in_coset(T, w)
+                x = pair.x
                 for s in range(cfg.matrix.n):
                     ws = multiply(w, Element.generator(cfg.matrix, s))
                     if ws.length != w.length + 1:
                         continue
-                    out = coset_step(T, w, s, x)
+                    out = coset_step(pair, s)
+                    assert out.pair.base == ws
+                    assert out.pair.check(T)
                     assert out.x_next == longest_in_coset(T, ws).x
                     assert out.x_next.length <= x.length
                     if not out.unchanged:

@@ -1,5 +1,6 @@
 """The BFS enumeration oracle: balls, cosets, longest elements."""
 
+from dataclasses import replace
 from itertools import product
 
 import pytest
@@ -14,6 +15,7 @@ from coxkit import (
     longest_in_coset_oracle,
     oracle,
     reduce_word,
+    validate_matrix,
 )
 
 
@@ -85,6 +87,33 @@ def test_full_group_raises_when_bfs_leaves_edges_open(a2, monkeypatch):
     monkeypatch.setattr(oracle, "_bfs", lambda *args: (*bfs(*args)[:2], False))
     with pytest.raises(RuntimeError, match="unexplored edges"):
         full_group(a2.matrix)
+
+
+def test_ball_rejects_elements_of_another_system(a2, g1):
+    b = ball(a2.matrix, 3)
+    e = reduce_word(g1.matrix, (0, 1))
+    assert e not in b
+    for lookup in (b.depth_of, lambda u: b.edge(u, 0), b.right_descents_of):
+        with pytest.raises(ValueError, match="different Coxeter system"):
+            lookup(e)
+    # An equal matrix built separately names the same system.
+    twin = reduce_word(validate_matrix([list(row) for row in a2.matrix.orders]), (0, 1))
+    assert twin in b
+    assert b.depth_of(twin) == 2
+
+
+def test_parabolic_elements_checks_the_catalogue_order(a2, monkeypatch):
+    classify = oracle.classify
+    monkeypatch.setattr(
+        oracle, "classify",
+        lambda *args: replace(classify(*args), order=classify(*args).order + 1),
+    )
+    oracle._parabolic_elements.cache_clear()
+    try:
+        with pytest.raises(RuntimeError, match="signals a defect"):
+            coset_elements({0, 1}, Element.identity(a2.matrix))
+    finally:
+        oracle._parabolic_elements.cache_clear()
 
 
 def test_size_budget(a3):

@@ -117,8 +117,12 @@ def test_stabilize_plain_letter_stream(g1):
 
 
 def test_stabilize_stream_checks_reducedness(a2):
-    with pytest.raises(NotReducedAt):
+    with pytest.raises(NotReducedAt) as exc:
         stabilize({0}, a2.word("a,b,a,b"), horizon=4, matrix=a2.matrix)
+    assert exc.value.index == 4  # abab = ba
+    with pytest.raises(NotReducedAt) as exc:
+        stabilize({0}, a2.word("a,a"), horizon=2, matrix=a2.matrix)
+    assert exc.value.index == 2
 
 
 def test_theorem_trace_main_example(g1):
