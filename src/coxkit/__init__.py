@@ -64,7 +64,6 @@ from .systems import (
     preset,
 )
 from .words import (
-    DEFAULT_CLOSURE_BUDGET,
     Element,
     in_parabolic,
     inverse,

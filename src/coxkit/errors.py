@@ -33,14 +33,14 @@ class OffDiagonalBelowTwo(MatrixError):
 
 
 class ClosureBudgetExceeded(CoxeterError):
-    """A braid-move closure grew past the configured word budget."""
+    """A braid-move closure grew past the fixed word budget."""
 
     def __init__(self, budget: int, word_length: int):
         self.budget = budget
         self.word_length = word_length
         super().__init__(
             f"braid-move closure exceeded {budget} words while reducing a "
-            f"word of length {word_length}; raise the budget or shorten the input"
+            f"word of length {word_length}; shorten the input"
         )
 
 

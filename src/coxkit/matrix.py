@@ -91,8 +91,11 @@ def validate_matrix(raw) -> CoxeterMatrix:
 
     Raises :class:`DiagonalNotOne`, :class:`AsymmetricEntry` or
     :class:`OffDiagonalBelowTwo` naming the offending pair, and plain
-    ``ValueError`` for malformed tables (non-square, junk entries).
+    ``ValueError`` for malformed tables (not a list of lists, non-square,
+    junk entries).
     """
+    if not isinstance(raw, (list, tuple)) or not all(isinstance(r, (list, tuple)) for r in raw):
+        raise ValueError("orders must be a list of lists")
     rows = [list(r) for r in raw]
     n = len(rows)
     if n > MAX_GENERATORS:

@@ -10,8 +10,7 @@ and whether the stabilization is certified.
 Certification policy: for a periodic ray, recurrence of the pair
 (x_i, i mod |period|) past the candidate index and past the prefix
 upgrades horizon evidence to PhaseRecurrence; anything else is reported
-honestly as HorizonOnly.  A plain finite letter sequence may be supplied
-instead of a periodic ray, in which case only HorizonOnly is available.
+honestly as HorizonOnly.  Every letter is checked as it is folded.
 """
 
 from __future__ import annotations
@@ -32,12 +31,18 @@ HORIZON_ONLY = "HorizonOnly"
 
 @dataclass(frozen=True)
 class RaySpec:
-    """An eventually periodic word with a certificate of reducedness."""
+    """An eventually periodic word prefix.period.period...
+
+    Reducedness is not stored: `stabilize` checks every letter it folds.
+    """
 
     matrix: CoxeterMatrix
     prefix: tuple[int, ...]
     period: tuple[int, ...]
-    certified_reduced_up_to: int
+
+    def __post_init__(self) -> None:
+        if not self.period:
+            raise ValueError("period must be non-empty")
 
     def letter(self, i: int) -> int:
         """The i-th letter, 1-based."""
@@ -52,22 +57,18 @@ class RaySpec:
 
 
 def make_ray(matrix: CoxeterMatrix, prefix, period, horizon: int = DEFAULT_HORIZON) -> RaySpec:
-    """Build a ray and certify every prefix up to ``horizon`` is reduced.
+    """Build a ray and check that every prefix up to ``horizon`` is reduced.
 
     Each letter must lengthen the element by one; the first letter that
     fails raises NotReducedAt with its 1-based index.
     """
-    prefix = tuple(prefix)
-    period = tuple(period)
-    if not period:
-        raise ValueError("period must be non-empty")
-    ray = RaySpec(matrix, prefix, period, 0)
+    ray = RaySpec(matrix, tuple(prefix), tuple(period))
     w = Element.identity(matrix)
     for i in range(1, horizon + 1):
         w = multiply(w, Element.generator(matrix, ray.letter(i)))
         if w.length != i:
             raise NotReducedAt(i)
-    return replace(ray, certified_reduced_up_to=horizon)
+    return ray
 
 
 @dataclass(frozen=True)
@@ -100,38 +101,18 @@ class TraceReport:
     memberships: tuple[MembershipCheck, ...] = field(default=())
 
 
-def _ray_letters(ray, horizon: int):
-    """Letters 1..horizon plus the (prefix, period) shape when periodic."""
-    if isinstance(ray, RaySpec):
-        if horizon > ray.certified_reduced_up_to:
-            raise ValueError(
-                f"horizon {horizon} exceeds the certified reduced length "
-                f"{ray.certified_reduced_up_to}; rebuild the ray"
-            )
-        return ray.letters(horizon), len(ray.prefix), len(ray.period)
-    letters = tuple(ray)
-    if len(letters) < horizon:
-        raise ValueError(f"letter stream shorter than horizon {horizon}")
-    return letters[:horizon], None, None
-
-
-def stabilize(members, ray, horizon: int = DEFAULT_HORIZON, matrix: CoxeterMatrix | None = None) -> TraceReport:
+def stabilize(members, ray: RaySpec, horizon: int = DEFAULT_HORIZON) -> TraceReport:
     """Fold the ray and track the longest-coset pair for T.
 
-    ``ray`` is a RaySpec or a plain letter sequence (then ``matrix`` is
-    required and reducedness is checked on the fly).
+    Raises NotReducedAt(i) at the first letter i that does not lengthen the word.
     """
-    if isinstance(ray, RaySpec):
-        matrix = ray.matrix
-    elif matrix is None:
-        raise ValueError("a plain letter sequence needs an explicit matrix")
-    letters, prefix_len, period_len = _ray_letters(ray, horizon)
-
+    if not isinstance(ray, RaySpec):
+        raise TypeError("stabilize needs a RaySpec")
     steps: list[TraceStep] = []
     pair = None
-    for i, s in enumerate(letters, 1):
+    for i, s in enumerate(ray.letters(horizon), 1):
         if pair is None:
-            pair = longest_in_coset(members, Element.generator(matrix, s))
+            pair = longest_in_coset(members, Element.generator(ray.matrix, s))
         else:
             try:
                 pair = coset_step(pair, s).pair
@@ -149,11 +130,11 @@ def stabilize(members, ray, horizon: int = DEFAULT_HORIZON, matrix: CoxeterMatri
 
     certified = False
     reason = HORIZON_ONLY
-    if period_len is not None:
-        lo = max(candidate_n, prefix_len + 1)
-        if lo + period_len <= horizon and steps[lo - 1].x == steps[lo - 1 + period_len].x:
-            certified = True
-            reason = PHASE_RECURRENCE
+    lo = max(candidate_n, len(ray.prefix) + 1)
+    period_len = len(ray.period)
+    if lo + period_len <= horizon and steps[lo - 1].x == steps[lo - 1 + period_len].x:
+        certified = True
+        reason = PHASE_RECURRENCE
     return TraceReport(
         steps=tuple(steps),
         stabilization=Stabilization(candidate_n, certified, reason),

@@ -78,6 +78,8 @@ def _all_words(n: int, max_len: int):
 
 def lemma_suite(config: SystemConfig, radius: int) -> SuiteReport:
     """Run every check against one system at the given ball radius."""
+    if radius < 0:
+        raise ValueError("radius must be >= 0")
     matrix = config.matrix
     name = config.label or ",".join(config.names)
     big = oracle.ball(matrix, radius + 1)

@@ -54,10 +54,20 @@ class SystemConfig:
 
 
 def config_from_dict(data: dict, label: str | None = None) -> SystemConfig:
+    if not isinstance(data, dict):
+        raise ValueError(f"config must be a JSON object, got {type(data).__name__}")
     missing = {"generators", "orders"} - set(data)
     if missing:
         raise ValueError(f"config is missing fields: {sorted(missing)}")
-    names = tuple(data["generators"])
+    names = data["generators"]
+    if not isinstance(names, (list, tuple)):
+        raise ValueError(f"generators must be a list of names, got {type(names).__name__}")
+    for i, name in enumerate(names):
+        # Names that `word` can spell back: it splits on commas and strips.
+        if not isinstance(name, str) or not name or "," in name or name != name.strip():
+            raise ValueError(f"generators[{i}]={name!r} is not a non-empty name without "
+                             f"commas or surrounding whitespace")
+    names = tuple(names)
     if len(set(names)) != len(names):
         raise ValueError("generator names must be unique")
     matrix = validate_matrix(data["orders"])

@@ -11,10 +11,10 @@ least one (equivalently ShortLex-least, all lengths being equal) is the
 canonical form.
 
 This is exponential in the worst case but exact, needs no irrational
-arithmetic, and is guarded by a closure budget: each saturation stage may
-enumerate at most ``budget`` words before raising.  Results are memoized
-per (matrix, word) in a bounded cache; the cache is a transparent pure-
-function cache and never changes results.
+arithmetic, and is guarded by a fixed closure budget: each saturation
+stage may enumerate at most ``CLOSURE_BUDGET`` words before raising.
+Results are memoized per (matrix, word) in a bounded cache; the cache is
+a transparent pure-function cache and never changes results.
 
 Everything here is immutable and pure, hence safe under concurrent use.
 """
@@ -28,7 +28,7 @@ from functools import lru_cache
 from .errors import ClosureBudgetExceeded
 from .matrix import INF, CoxeterMatrix
 
-DEFAULT_CLOSURE_BUDGET = 200_000
+CLOSURE_BUDGET = 200_000
 
 
 def _alternating(s: int, t: int, length: int) -> bytes:
@@ -67,7 +67,7 @@ def _first_double(doubles, word: bytes) -> int:
     return best
 
 
-def _saturate_stage(kernel: _Kernel, word: bytes, budget: int):
+def _saturate_stage(kernel: _Kernel, word: bytes):
     """Braid-close ``word``; stop early at the first adjacent equal pair.
 
     Returns ``(shorter_word, None)`` when a deletion fires, else
@@ -89,21 +89,21 @@ def _saturate_stage(kernel: _Kernel, word: bytes, budget: int):
                     if i >= 0:
                         return u[:i] + u[i + 2:], None
                     seen.add(u)
-                    if len(seen) > budget:
-                        raise ClosureBudgetExceeded(budget, len(word))
+                    if len(seen) > CLOSURE_BUDGET:
+                        raise ClosureBudgetExceeded(CLOSURE_BUDGET, len(word))
                     queue.append(u)
                 start = w.find(pat, start + 1)
     return None, min(seen)
 
 
 @lru_cache(maxsize=1 << 18)
-def _reduce_bytes(matrix: CoxeterMatrix, word: bytes, budget: int) -> bytes:
+def _reduce_bytes(matrix: CoxeterMatrix, word: bytes) -> bytes:
     kernel = _kernel(matrix)
-    shorter, canonical = _saturate_stage(kernel, word, budget)
+    shorter, canonical = _saturate_stage(kernel, word)
     if shorter is None:
         return canonical
     # Shorter stages are shared across many inputs; recurse through the cache.
-    return _reduce_bytes(matrix, shorter, budget)
+    return _reduce_bytes(matrix, shorter)
 
 
 @dataclass(frozen=True)
@@ -145,14 +145,14 @@ class Element:
         return "Element(" + ".".join(str(s) for s in self.letters) + ")"
 
 
-def reduce_word(matrix: CoxeterMatrix, letters, budget: int = DEFAULT_CLOSURE_BUDGET) -> Element:
+def reduce_word(matrix: CoxeterMatrix, letters) -> Element:
     """Canonical form of the element spelled by ``letters``."""
-    return Element(matrix, tuple(_reduce_bytes(matrix, matrix.pack(letters), budget)))
+    return Element(matrix, tuple(_reduce_bytes(matrix, matrix.pack(letters))))
 
 
-def is_reduced(matrix: CoxeterMatrix, letters, budget: int = DEFAULT_CLOSURE_BUDGET) -> bool:
+def is_reduced(matrix: CoxeterMatrix, letters) -> bool:
     word = matrix.pack(letters)
-    return len(_reduce_bytes(matrix, word, budget)) == len(word)
+    return len(_reduce_bytes(matrix, word)) == len(word)
 
 
 def _require_same_system(u: Element, v: Element) -> None:
@@ -160,29 +160,29 @@ def _require_same_system(u: Element, v: Element) -> None:
         raise ValueError("elements belong to different Coxeter systems")
 
 
-def multiply(u: Element, v: Element, budget: int = DEFAULT_CLOSURE_BUDGET) -> Element:
+def multiply(u: Element, v: Element) -> Element:
     _require_same_system(u, v)
-    return reduce_word(u.matrix, u.letters + v.letters, budget)
+    return reduce_word(u.matrix, u.letters + v.letters)
 
 
-def inverse(u: Element, budget: int = DEFAULT_CLOSURE_BUDGET) -> Element:
+def inverse(u: Element) -> Element:
     # The reversed canonical word spells the inverse; reducing it again
     # only re-canonicalizes (the length is already minimal).
-    return reduce_word(u.matrix, u.letters[::-1], budget)
+    return reduce_word(u.matrix, u.letters[::-1])
 
 
-def right_descents(u: Element, budget: int = DEFAULT_CLOSURE_BUDGET) -> frozenset[int]:
+def right_descents(u: Element) -> frozenset[int]:
     """The generators s with l(ws) = l(w) - 1; there is no third case."""
     word = u.letters
     out = []
     for s in range(u.matrix.n):
-        if reduce_word(u.matrix, word + (s,), budget).length < len(word):
+        if reduce_word(u.matrix, word + (s,)).length < len(word):
             out.append(s)
     return frozenset(out)
 
 
-def left_descents(u: Element, budget: int = DEFAULT_CLOSURE_BUDGET) -> frozenset[int]:
-    return right_descents(inverse(u, budget), budget)
+def left_descents(u: Element) -> frozenset[int]:
+    return right_descents(inverse(u))
 
 
 def in_parabolic(u: Element, members) -> bool:

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from coxkit.cli import run_command
 
 
@@ -76,6 +78,31 @@ def test_bad_config_exits_2(capsys, tmp_path):
     code, out, err = run(capsys, "validate", "--config", str(path))
     assert code == 2
     assert "asymmetric" in err
+
+
+@pytest.mark.parametrize("config, field", [
+    (5, "config"),
+    (None, "config"),
+    ({"generators": 5, "orders": [[1]]}, "generators"),
+    ({"generators": [["x"]], "orders": [[1]]}, "generators"),
+    ({"generators": "ab", "orders": [[1, 3], [3, 1]]}, "generators"),
+    ({"generators": [1, 2], "orders": [[1, 3], [3, 1]]}, "generators"),
+    ({"generators": ["a,b"], "orders": [[1]]}, "generators"),
+    ({"generators": [" a"], "orders": [[1]]}, "generators"),
+    ({"generators": [""], "orders": [[1]]}, "generators"),
+    ({"generators": ["x"], "orders": 5}, "orders"),
+    ({"generators": ["x"], "orders": [5]}, "orders"),
+], ids=["top-level-int", "top-level-null", "generators-int", "generators-nested",
+        "generators-string", "generators-ints", "generators-comma",
+        "generators-whitespace", "generators-empty-name", "orders-int", "orders-flat"])
+def test_malformed_config_exits_2(capsys, tmp_path, config, field):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(config))
+    code, out, err = run(capsys, "validate", "--config", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and field in err
+    assert "Traceback" not in err
 
 
 def test_unknown_preset_exits_2(capsys):

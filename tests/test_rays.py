@@ -7,6 +7,7 @@ from coxkit import (
     HypothesisFailed,
     NonSphericalSubset,
     NotReducedAt,
+    RaySpec,
     in_WT_class,
     inverse,
     lemma4_apply,
@@ -23,7 +24,6 @@ from coxkit.rays import HORIZON_ONLY, PHASE_RECURRENCE
 
 def test_make_ray_alternating_infinite_order(g1):
     ray = make_ray(g1.matrix, (), g1.word("t0,s0"), horizon=50)
-    assert ray.certified_reduced_up_to == 50
     assert ray.letter(1) == g1.index("t0")
     assert ray.letter(2) == g1.index("s0")
     assert ray.letter(51) == g1.index("t0")
@@ -44,6 +44,8 @@ def test_make_ray_rejects_repeat(a2):
 def test_make_ray_rejects_empty_period(a2):
     with pytest.raises(ValueError):
         make_ray(a2.matrix, a2.word("a"), (), horizon=5)
+    with pytest.raises(ValueError, match="period must be non-empty"):
+        RaySpec(a2.matrix, a2.word("a"), ())
 
 
 def test_stabilize_g1_main_example(g1):
@@ -101,27 +103,36 @@ def test_stabilize_rejects_nonspherical(g1):
         stabilize(g1.subset("s0,t0"), ray, horizon=10)
 
 
-def test_stabilize_horizon_beyond_certificate(g1):
-    ray = make_ray(g1.matrix, (), g1.word("t0,s0"), horizon=10)
-    with pytest.raises(ValueError):
-        stabilize(g1.subset("t0,t1"), ray, horizon=20)
+def test_stabilize_horizon_beyond_certificate(g1, a2):
+    # make_ray's horizon bounds only its own eager check; stabilize checks
+    # every letter it folds, so a longer trace needs no rebuilt ray.
+    T = g1.subset("t0,t1")
+    short = make_ray(g1.matrix, (), g1.word("t0,s0"), horizon=10)
+    long = make_ray(g1.matrix, (), g1.word("t0,s0"), horizon=20)
+    assert stabilize(T, short, horizon=20) == stabilize(T, long, horizon=20)
+    ray = make_ray(a2.matrix, (), a2.word("a,b"), horizon=3)
+    with pytest.raises(NotReducedAt) as exc:
+        stabilize({0}, ray, horizon=4)
+    assert exc.value.index == 4  # abab = ba
 
 
 def test_stabilize_plain_letter_stream(g1):
     T = g1.subset("t0,t1")
-    letters = make_ray(g1.matrix, (), g1.word("t0,s0"), horizon=12).letters(12)
-    report = stabilize(T, letters, horizon=12, matrix=g1.matrix)
-    assert g1.spell(report.x_limit) == ["t1"]
+    ray = make_ray(g1.matrix, (), g1.word("t0,s0"), horizon=2)
+    report = stabilize(T, ray, horizon=2)
+    assert report.stabilization.candidate_n == 1
     assert not report.stabilization.certified
     assert report.stabilization.reason == HORIZON_ONLY
+    with pytest.raises(TypeError, match="RaySpec"):
+        stabilize(T, ray.letters(2), horizon=2)
 
 
 def test_stabilize_stream_checks_reducedness(a2):
     with pytest.raises(NotReducedAt) as exc:
-        stabilize({0}, a2.word("a,b,a,b"), horizon=4, matrix=a2.matrix)
+        stabilize({0}, RaySpec(a2.matrix, (), a2.word("a,b")), horizon=4)
     assert exc.value.index == 4  # abab = ba
     with pytest.raises(NotReducedAt) as exc:
-        stabilize({0}, a2.word("a,a"), horizon=2, matrix=a2.matrix)
+        stabilize({0}, RaySpec(a2.matrix, a2.word("a"), a2.word("a")), horizon=2)
     assert exc.value.index == 2
 
 
@@ -172,9 +183,12 @@ def test_theorem_trace_hypothesis_failures(g1):
         theorem_trace(ray, g1.subset("t0,t1"), g1.index("s0"), g1.index("t1"), horizon=10)
 
 
-def test_theorem_trace_propagates_ray_errors(a2):
-    with pytest.raises(NotReducedAt):
-        make_ray(a2.matrix, (), a2.word("a,b"), horizon=10)
+def test_theorem_trace_propagates_ray_errors(g1):
+    s0, t0 = g1.index("s0"), g1.index("t0")
+    ray = RaySpec(g1.matrix, (), (t0, s0, s0))
+    with pytest.raises(NotReducedAt) as exc:
+        theorem_trace(ray, g1.subset("t0,t1"), s0, t0, horizon=5)
+    assert exc.value.index == 3
 
 
 def test_in_WT_class_after_stabilization(g1):

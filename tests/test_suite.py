@@ -1,6 +1,11 @@
 """The exhaustive verification sweep used by the lemma-suite command."""
 
-from coxkit import config_from_dict, lemma_suite, preset
+import json
+
+import pytest
+
+from coxkit import config_from_dict, cosets, lemma_suite, preset
+from coxkit.cli import run_command
 
 
 def test_a2_radius_3_all_pass():
@@ -59,3 +64,39 @@ def test_report_dict_shape():
     assert all("wall_ms" not in c for c in data["checks"])
     timed = report.to_dict(timings=True)
     assert all("wall_ms" in c for c in timed["checks"])
+
+
+def test_negative_radius_is_rejected(capsys):
+    with pytest.raises(ValueError, match="radius must be >= 0"):
+        lemma_suite(preset("A2"), radius=-1)
+    code = run_command(["lemma-suite", "--system", "A2", "--radius", "-1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "error: radius must be >= 0" in captured.err
+
+
+def test_broken_coset_step_fails_only_its_check(monkeypatch, capsys):
+    # A step that leaves x unchanged but forgets to advance v to v.s.
+    real_step = cosets.coset_step
+
+    def stale_v(pair, s):
+        outcome = real_step(pair, s)
+        if not outcome.unchanged:
+            return outcome
+        stale = cosets.CosetLongest(x=outcome.pair.x, v=pair.v, base=outcome.pair.base)
+        return cosets.StepOutcome(stale, None)
+
+    monkeypatch.setattr(cosets, "coset_step", stale_v)
+    report = lemma_suite(preset("A2"), radius=3)
+    assert not report.ok
+    failing = [c for c in report.checks if c.failures]
+    assert [c.name for c in failing] == ["coset_step"]
+    assert all(m.startswith("stepped pair invalid at W_[") and ", w=" in m and ", s=" in m
+               for m in failing[0].failures)
+    assert "stepped pair invalid at W_[], w=e, s=a" in failing[0].failures
+
+    code = run_command(["lemma-suite", "--system", "A2", "--radius", "3"])
+    payload = json.loads(capsys.readouterr().out)
+    assert code == 1
+    assert payload["ok"] is False

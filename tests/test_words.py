@@ -15,6 +15,7 @@ from coxkit import (
     multiply,
     reduce_word,
     right_descents,
+    words,
 )
 
 
@@ -117,16 +118,20 @@ def test_in_parabolic_matches_subgroup_enumeration(g1):
             assert in_parabolic(w, T) == (w in subgroup)
 
 
-def test_closure_budget_raises(a3):
+def test_closure_budget_raises(a3, monkeypatch):
     # The longest element of A3 has 16 reduced expressions.
+    words._reduce_bytes.cache_clear()
+    monkeypatch.setattr(words, "CLOSURE_BUDGET", 2)
     word = a3.word("a,b,a,c,b,a")
     with pytest.raises(ClosureBudgetExceeded):
-        reduce_word(a3.matrix, word, budget=2)
+        reduce_word(a3.matrix, word)
 
 
-def test_budget_error_reports_budget(ta2):
+def test_budget_error_reports_budget(ta2, monkeypatch):
+    words._reduce_bytes.cache_clear()
+    monkeypatch.setattr(words, "CLOSURE_BUDGET", 1)
     with pytest.raises(ClosureBudgetExceeded) as exc:
-        reduce_word(ta2.matrix, ta2.word("a,b,a"), budget=1)
+        reduce_word(ta2.matrix, ta2.word("a,b,a"))
     assert exc.value.budget == 1
 
 
