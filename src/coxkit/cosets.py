@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from .errors import LengthDecreases, NonSphericalSubset
 from .finite_type import is_spherical
 from .matrix import INF
-from .words import Element, inverse, multiply, reduce_word, right_descents
+from .words import Element, inverse, left_descents, multiply, reduce_word, right_descents
 
 
 @dataclass(frozen=True)
@@ -39,36 +39,25 @@ class CosetLongest:
             return False
         if self.v.length != self.x.length + self.base.length:
             return False
-        mat = self.v.matrix
-        return all(
-            multiply(Element.generator(mat, t), self.v).length < self.v.length
-            for t in T
-        )
+        return T <= left_descents(self.v)
 
 
 def longest_in_coset(members, w: Element) -> CosetLongest:
     """Greedy ascent to the longest element of W_T.w.
 
-    While some t in T lengthens v on the left, replace v by t.v (scanning
-    T in index order and restarting after each success).  Termination is
-    finiteness of W_T; the result does not depend on the scan order, which
-    the test suite asserts against the enumeration oracle.
+    While some t in T is not a left descent of v, replace v by t.v (the
+    least such t: T is scanned in index order and restarted after each
+    success).  Termination is finiteness of W_T; the result does not
+    depend on the scan order, which the test suite asserts against the
+    enumeration oracle.
     """
-    T = sorted(frozenset(members))
+    T = frozenset(members)
     matrix = w.matrix
     if not is_spherical(matrix, T):
         raise NonSphericalSubset(T)
-    gens = [Element.generator(matrix, t) for t in T]
     v = w
-    improved = True
-    while improved:
-        improved = False
-        for g in gens:
-            tv = multiply(g, v)
-            if tv.length > v.length:
-                v = tv
-                improved = True
-                break
+    while ascents := T - left_descents(v):
+        v = multiply(Element.generator(matrix, min(ascents)), v)
     return CosetLongest(x=multiply(v, inverse(w)), v=v, base=w)
 
 

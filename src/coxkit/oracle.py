@@ -212,6 +212,8 @@ class Ball:
 
 def _build(matrix: CoxeterMatrix, radius: int | None, max_elements: int) -> Ball:
     """BFS to ``radius``, or to closure when it is None, then label every vertex."""
+    if max_elements < 1:
+        raise ValueError("max_elements must be >= 1")
     depths, edges, closed = _bfs(matrix, radius, max_elements)
     if radius is None and not closed:
         raise RuntimeError("the Cayley BFS stopped with unexplored edges; this signals a defect")

@@ -204,11 +204,7 @@ def lemma_suite(config: SystemConfig, radius: int) -> SuiteReport:
                 if not pair.check(T):
                     bad.append(f"invariants fail for W_{sorted(T)}.{_spell(config, w)}")
                 for member in oracle.coset_elements(T, w):
-                    all_down = all(
-                        multiply(Element.generator(matrix, t), member).length < member.length
-                        for t in T
-                    )
-                    if all_down != (member == top):
+                    if (T <= left_descents(member)) != (member == top):
                         bad.append(
                             f"descent characterization fails at {_spell(config, member)} "
                             f"in W_{sorted(T)}.{_spell(config, w)}"

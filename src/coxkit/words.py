@@ -10,6 +10,12 @@ in it is a reduced expression of the element, and the lexicographically
 least one (equivalently ShortLex-least, all lengths being equal) is the
 canonical form.
 
+Descent sets come from the same final closure.  By Tits' word property
+(Bjorner-Brenti, *Combinatorics of Coxeter Groups*, Thm 3.3.1) the braid
+class of a reduced word is the set of all reduced words of its element,
+so the first letters of that class are exactly the left descents and the
+last letters exactly the right descents.
+
 This is exponential in the worst case but exact, needs no irrational
 arithmetic, and is guarded by a fixed closure budget: each saturation
 stage may enumerate at most ``CLOSURE_BUDGET`` words before raising.
@@ -71,7 +77,7 @@ def _saturate_stage(kernel: _Kernel, word: bytes):
     """Braid-close ``word``; stop early at the first adjacent equal pair.
 
     Returns ``(shorter_word, None)`` when a deletion fires, else
-    ``(None, shortlex_least_of_closure)``.
+    ``(None, closure)``: every reduced word of the element.
     """
     i = _first_double(kernel.doubles, word)
     if i >= 0:
@@ -93,15 +99,20 @@ def _saturate_stage(kernel: _Kernel, word: bytes):
                         raise ClosureBudgetExceeded(CLOSURE_BUDGET, len(word))
                     queue.append(u)
                 start = w.find(pat, start + 1)
-    return None, min(seen)
+    return None, seen
 
 
 @lru_cache(maxsize=1 << 18)
-def _reduce_bytes(matrix: CoxeterMatrix, word: bytes) -> bytes:
-    kernel = _kernel(matrix)
-    shorter, canonical = _saturate_stage(kernel, word)
+def _reduce_bytes(matrix: CoxeterMatrix, word: bytes):
+    """(canonical word, left descents, right descents) of the element.
+
+    A descent set is stored as the bytes of its sorted letters: empty and
+    one-letter bytes are shared objects, so most entries hold no extra set.
+    """
+    shorter, closure = _saturate_stage(_kernel(matrix), word)
     if shorter is None:
-        return canonical
+        left, right = (bytes(sorted({w[i] for w in closure})) if word else word for i in (0, -1))
+        return min(closure), left, right
     # Shorter stages are shared across many inputs; recurse through the cache.
     return _reduce_bytes(matrix, shorter)
 
@@ -147,12 +158,12 @@ class Element:
 
 def reduce_word(matrix: CoxeterMatrix, letters) -> Element:
     """Canonical form of the element spelled by ``letters``."""
-    return Element(matrix, tuple(_reduce_bytes(matrix, matrix.pack(letters))))
+    return Element(matrix, tuple(_reduce_bytes(matrix, matrix.pack(letters))[0]))
 
 
 def is_reduced(matrix: CoxeterMatrix, letters) -> bool:
     word = matrix.pack(letters)
-    return len(_reduce_bytes(matrix, word)) == len(word)
+    return len(_reduce_bytes(matrix, word)[0]) == len(word)
 
 
 def _require_same_system(u: Element, v: Element) -> None:
@@ -172,17 +183,13 @@ def inverse(u: Element) -> Element:
 
 
 def right_descents(u: Element) -> frozenset[int]:
-    """The generators s with l(ws) = l(w) - 1; there is no third case."""
-    word = u.letters
-    out = []
-    for s in range(u.matrix.n):
-        if reduce_word(u.matrix, word + (s,)).length < len(word):
-            out.append(s)
-    return frozenset(out)
+    """The generators s with l(ws) = l(w) - 1: last letters of the reduced words."""
+    return frozenset(_reduce_bytes(u.matrix, u.matrix.pack(u.letters))[2])
 
 
 def left_descents(u: Element) -> frozenset[int]:
-    return right_descents(inverse(u))
+    """The generators s with l(sw) = l(w) - 1: first letters of the reduced words."""
+    return frozenset(_reduce_bytes(u.matrix, u.matrix.pack(u.letters))[1])
 
 
 def in_parabolic(u: Element, members) -> bool:

@@ -17,12 +17,27 @@ from coxkit import (
     reduce_word,
     validate_matrix,
 )
+from coxkit.cli import run_command
 
 
 def test_a2_ball_three_levels(a2):
     b = ball(a2.matrix, 3)
     assert len(b) == 6
     assert b.level_sizes() == (1, 2, 2, 1)
+
+
+@pytest.mark.parametrize("budget", [0, -5])
+def test_nonpositive_max_elements_is_rejected(a2, budget, capsys):
+    with pytest.raises(ValueError, match="max_elements must be >= 1"):
+        ball(a2.matrix, 2, max_elements=budget)
+    with pytest.raises(ValueError, match="max_elements must be >= 1"):
+        full_group(a2.matrix, max_elements=budget)
+    code = run_command(["enumerate", "--system", "A2", "--radius", "2",
+                        "--max-elements", str(budget)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["error: max_elements must be >= 1"]
 
 
 def test_radius_zero_is_identity(g1):
@@ -218,7 +233,7 @@ def test_randomized_systems_cross_validation():
     import math
     import random
 
-    from coxkit import right_descents, validate_matrix
+    from coxkit import left_descents, right_descents, validate_matrix
 
     rng = random.Random(987)
     choices = [2, 2, 3, 3, 3, 4, 5, 6, 7, math.inf, math.inf]
@@ -237,3 +252,4 @@ def test_randomized_systems_cross_validation():
         for e in b.elements:
             assert b.depth_of(e) == e.length
             assert b.right_descents_of(e) == right_descents(e)
+            assert left_descents(e) == b.right_descents_of(b.resolve(e.letters[::-1]))

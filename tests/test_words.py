@@ -97,6 +97,24 @@ def test_left_descents_examples(a2, g1):
     assert left_descents(t1s0) == frozenset(g1.word("t1"))
 
 
+def test_descents_of_a_hand_built_unreduced_element(a2):
+    # (a, a) spells the identity, which has no descent on either side.
+    aa = Element(a2.matrix, a2.word("a,a"))
+    assert right_descents(aa) == frozenset()
+    assert left_descents(aa) == frozenset()
+
+
+def test_both_descent_sets_come_from_one_closure(b3):
+    # The canonical word of a reduced element is saturated once; the
+    # second side is read from the same cache entry.
+    u = reduce_word(b3.matrix, b3.word("a,b,c,b"))
+    words._reduce_bytes.cache_clear()
+    right_descents(u)
+    left_descents(u)
+    info = words._reduce_bytes.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+
+
 def test_in_parabolic_examples(g1):
     e = Element.identity(g1.matrix)
     assert in_parabolic(e, frozenset())
