@@ -14,8 +14,8 @@ import sys
 
 from . import __version__
 from .cosets import longest_in_coset
-from .errors import CoxeterError
-from .finite_type import classify, maximal_spherical_subsets
+from .errors import CoxeterError, HypothesisFailed
+from .finite_type import classify, hypothesis_check, maximal_spherical_subsets
 from .matrix import INF
 from .oracle import ball
 from .rays import make_ray, stabilize, theorem_trace
@@ -179,7 +179,15 @@ def _cmd_trace(args) -> int:
     if args.s0 is not None or args.t0 is not None:
         if args.s0 is None or args.t0 is None:
             raise ValueError("--s0 and --t0 must be given together")
-        report = theorem_trace(ray, T, config.index(args.s0), config.index(args.t0), horizon=args.horizon)
+        s0, t0 = config.index(args.s0), config.index(args.t0)
+        # The library's errors give indices; check first to name generators.
+        hypothesis = hypothesis_check(config.matrix, T, s0)
+        if not hypothesis.ok:
+            raise HypothesisFailed(f"(T=[{', '.join(config.spell(sorted(T)))}], s0={args.s0}) fails the hypothesis")
+        if t0 not in hypothesis.witnesses:
+            witnesses = ", ".join(config.spell(hypothesis.witnesses))
+            raise HypothesisFailed(f"t0={args.t0} is not an infinite-order witness among [{witnesses}]")
+        report = theorem_trace(ray, T, s0, t0, horizon=args.horizon)
     else:
         report = stabilize(T, ray, horizon=args.horizon)
     _emit(_trace_report_json(config, report))

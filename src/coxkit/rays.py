@@ -7,10 +7,13 @@ pair x_i for a spherical subset T gives a sequence with non-increasing
 l(x_i); the trace records every step, the index where x last changed,
 and whether the stabilization is certified.
 
-Certification policy: for a periodic ray, recurrence of the pair
-(x_i, i mod |period|) past the candidate index and past the prefix
-upgrades horizon evidence to PhaseRecurrence; anything else is reported
-honestly as HorizonOnly.  Every letter is checked as it is folded.
+Certification policy: the stabilization is certified (reason
+PhaseRecurrence) when one full period past both the candidate index and
+the prefix fits within the horizon; otherwise it is HorizonOnly.  As the
+candidate index is the last change of x up to the horizon, x recurs
+there by construction: until a cone-type certificate replaces it, this
+is a horizon test, not a proof that x never changes again.  Every letter
+is checked as it is folded.
 """
 
 from __future__ import annotations
@@ -128,13 +131,9 @@ def stabilize(members, ray: RaySpec, horizon: int = DEFAULT_HORIZON) -> TraceRep
     candidate_n = changes[-1] if changes else 1
     x_limit = steps[candidate_n - 1].x
 
-    certified = False
-    reason = HORIZON_ONLY
     lo = max(candidate_n, len(ray.prefix) + 1)
-    period_len = len(ray.period)
-    if lo + period_len <= horizon and steps[lo - 1].x == steps[lo - 1 + period_len].x:
-        certified = True
-        reason = PHASE_RECURRENCE
+    certified = lo + len(ray.period) <= horizon
+    reason = PHASE_RECURRENCE if certified else HORIZON_ONLY
     return TraceReport(
         steps=tuple(steps),
         stabilization=Stabilization(candidate_n, certified, reason),

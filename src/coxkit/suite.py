@@ -77,7 +77,10 @@ def _all_words(n: int, max_len: int):
 
 
 def lemma_suite(config: SystemConfig, radius: int) -> SuiteReport:
-    """Run every check against one system at the given ball radius."""
+    """Run every check against one system at the given ball radius.
+
+    Each check yields one list of failure messages per instance it covers.
+    """
     if radius < 0:
         raise ValueError("radius must be >= 0")
     matrix = config.matrix
@@ -86,48 +89,27 @@ def lemma_suite(config: SystemConfig, radius: int) -> SuiteReport:
     inner = [e for e in big.elements if e.length <= radius]
     word_cap = min(radius, WORD_SWEEP_CAP)
     family = spherical_subsets(matrix)
-    checks: list[CheckResult] = []
-
-    def run(check_name, fn):
-        start = time.perf_counter()
-        instances, failures = fn()
-        checks.append(CheckResult(
-            name=check_name,
-            instances=instances,
-            failures=failures,
-            radius=radius,
-            wall_ms=int((time.perf_counter() - start) * 1000),
-        ))
 
     def canonical_form():
-        count, bad = 0, []
         for word in _all_words(matrix.n, word_cap):
-            count += 1
             fast = reduce_word(matrix, word)
             slow = big.resolve(word)
-            if fast != slow:
-                bad.append(f"word {_spell(config, word)}: {fast!r} != oracle {slow!r}")
-        return count, bad
+            yield [] if fast == slow else [f"word {_spell(config, word)}: {fast!r} != oracle {slow!r}"]
 
     def deletion_property():
-        count, bad = 0, []
         for word in _all_words(matrix.n, word_cap):
             target = big.resolve(word)
             if target.length >= len(word):
                 continue
-            count += 1
             hits = [
                 (i, j)
                 for i in range(len(word))
                 for j in range(i + 1, len(word))
                 if big.resolve(word[:i] + word[i + 1:j] + word[j + 1:]) == target
             ]
-            if not hits:
-                bad.append(f"no deletion pair for {_spell(config, word)}")
-        return count, bad
+            yield [] if hits else [f"no deletion pair for {_spell(config, word)}"]
 
     def braid_invariance():
-        count, bad = 0, []
         kernel = words._kernel(matrix)
         for word in _all_words(matrix.n, word_cap):
             base = reduce_word(matrix, word)
@@ -142,79 +124,61 @@ def lemma_suite(config: SystemConfig, radius: int) -> SuiteReport:
                 if w[i] == w[i + 1]:
                     neighbours.append(w[:i] + w[i + 2:])
             for u in neighbours:
-                count += 1
-                if reduce_word(matrix, tuple(u)) != base:
-                    bad.append(f"move changed value: {_spell(config, word)} -> {_spell(config, tuple(u))}")
-        return count, bad
+                ok = reduce_word(matrix, tuple(u)) == base
+                yield [] if ok else [f"move changed value: {_spell(config, word)} -> {_spell(config, tuple(u))}"]
 
     def length_parity():
-        count, bad = 0, []
         for e in inner:
             for s in range(matrix.n):
-                count += 1
                 neighbour = big.edge(e, s)
-                if neighbour is None or abs(big.depth_of(neighbour) - big.depth_of(e)) != 1:
-                    bad.append(f"length parity fails at {_spell(config, e)} * {config.names[s]}")
-        return count, bad
+                ok = neighbour is not None and abs(big.depth_of(neighbour) - big.depth_of(e)) == 1
+                yield [] if ok else [f"length parity fails at {_spell(config, e)} * {config.names[s]}"]
 
     def inverse_involution():
-        count, bad = 0, []
         for e in inner:
-            count += 1
             inv = inverse(e)
+            bad = []
             if inv.length != e.length:
                 bad.append(f"l(inv) != l at {_spell(config, e)}")
             if inverse(inv) != e:
                 bad.append(f"inv(inv) != id at {_spell(config, e)}")
             if right_descents(e) != left_descents(inv):
                 bad.append(f"descent duality fails at {_spell(config, e)}")
-        return count, bad
+            yield bad
 
     def descent_spherical():
-        count, bad = 0, []
         for e in inner:
-            count += 1
-            if not is_spherical(matrix, right_descents(e)):
-                bad.append(f"non-spherical descent set at {_spell(config, e)}")
-        return count, bad
+            ok = is_spherical(matrix, right_descents(e))
+            yield [] if ok else [f"non-spherical descent set at {_spell(config, e)}"]
 
     def descent_agreement():
-        count, bad = 0, []
         for e in inner:
-            count += 1
-            if right_descents(e) != big.right_descents_of(e):
-                bad.append(f"descents disagree with oracle at {_spell(config, e)}")
-        return count, bad
+            ok = right_descents(e) == big.right_descents_of(e)
+            yield [] if ok else [f"descents disagree with oracle at {_spell(config, e)}"]
 
     def coset_longest():
-        count, bad = 0, []
-        cap = min(radius, COSET_RADIUS_CAP)
-        small = [e for e in inner if e.length <= cap]
+        small = [e for e in inner if e.length <= COSET_RADIUS_CAP]
         for T in family:
             for w in small:
-                count += 1
+                at = f"W_{sorted(T)}.{_spell(config, w)}"
                 try:
                     top = oracle.longest_in_coset_oracle(T, w)
                 except oracle.NonUniqueMaximum:
-                    bad.append(f"non-unique maximum in W_{sorted(T)}.{_spell(config, w)}")
+                    yield [f"non-unique maximum in {at}"]
                     continue
                 pair = cosets.longest_in_coset(T, w)
+                bad = []
                 if pair.v != top:
-                    bad.append(f"greedy != oracle for W_{sorted(T)}.{_spell(config, w)}")
+                    bad.append(f"greedy != oracle for {at}")
                 if not pair.check(T):
-                    bad.append(f"invariants fail for W_{sorted(T)}.{_spell(config, w)}")
+                    bad.append(f"invariants fail for {at}")
                 for member in oracle.coset_elements(T, w):
                     if (T <= left_descents(member)) != (member == top):
-                        bad.append(
-                            f"descent characterization fails at {_spell(config, member)} "
-                            f"in W_{sorted(T)}.{_spell(config, w)}"
-                        )
-        return count, bad
+                        bad.append(f"descent characterization fails at {_spell(config, member)} in {at}")
+                yield bad
 
-    def coset_step_agreement():
-        count, bad = 0, []
-        cap = min(radius, STEP_RADIUS_CAP)
-        small = [e for e in inner if e.length <= cap]
+    def coset_step():
+        small = [e for e in inner if e.length <= STEP_RADIUS_CAP]
         for T in family:
             for w in small:
                 pair = cosets.longest_in_coset(T, w)
@@ -222,41 +186,37 @@ def lemma_suite(config: SystemConfig, radius: int) -> SuiteReport:
                     ws = multiply(w, Element.generator(matrix, s))
                     if ws.length != w.length + 1:
                         continue
-                    count += 1
                     outcome = cosets.coset_step(pair, s)
-                    fresh = cosets.longest_in_coset(T, ws).x
-                    if outcome.x_next != fresh:
-                        bad.append(f"step != scratch at W_{sorted(T)}, w={_spell(config, w)}, s={config.names[s]}")
+                    at = f"W_{sorted(T)}, w={_spell(config, w)}, s={config.names[s]}"
+                    bad = []
+                    if outcome.x_next != cosets.longest_in_coset(T, ws).x:
+                        bad.append(f"step != scratch at {at}")
                     if outcome.pair.base != ws or not outcome.pair.check(T):
-                        bad.append(f"stepped pair invalid at W_{sorted(T)}, w={_spell(config, w)}, s={config.names[s]}")
+                        bad.append(f"stepped pair invalid at {at}")
                     if outcome.x_next.length > pair.x.length:
-                        bad.append(f"l(x') grew at W_{sorted(T)}, w={_spell(config, w)}, s={config.names[s]}")
+                        bad.append(f"l(x') grew at {at}")
                     if outcome.unchanged:
                         if outcome.x_next != pair.x:
                             bad.append(f"unchanged but different x at w={_spell(config, w)}")
-                    else:
-                        i = outcome.deleted_index
-                        dropped = reduce_word(matrix, pair.x.letters[:i] + pair.x.letters[i + 1:])
-                        if dropped != outcome.x_next:
-                            bad.append(f"deletion index wrong at w={_spell(config, w)}, s={config.names[s]}")
-        return count, bad
+                    elif not any(
+                        reduce_word(matrix, pair.x.letters[:i] + pair.x.letters[i + 1:]) == outcome.x_next
+                        for i in range(pair.x.length)
+                    ):
+                        bad.append(f"no one-letter deletion gives x' at {at}")
+                    yield bad
 
     def descent_step_lemma():
-        count, bad = 0, []
         for e in inner:
             for s0 in range(matrix.n):
                 report = cosets.lemma4_apply(e, s0)
                 if report.hypothesis_ok:
-                    count += 1
-                    if not report.conclusion_ok:
-                        bad.append(f"conclusion fails at w={_spell(config, e)}, s0={config.names[s0]}")
-        return count, bad
+                    ok = report.conclusion_ok
+                    yield [] if ok else [f"conclusion fails at w={_spell(config, e)}, s0={config.names[s0]}"]
 
     def descent_class_partition():
-        count, bad = 0, []
         for e in inner:
-            count += 1
             T = right_descents(e)
+            bad = []
             if not cosets.in_WT_class(e, T):
                 bad.append(f"element {_spell(config, e)} not in its own class")
             others = sum(
@@ -265,17 +225,24 @@ def lemma_suite(config: SystemConfig, radius: int) -> SuiteReport:
             )
             if others:
                 bad.append(f"element {_spell(config, e)} in {others + 1} classes")
-        return count, bad
+            yield bad
 
-    run("canonical_form", canonical_form)
-    run("deletion_property", deletion_property)
-    run("braid_invariance", braid_invariance)
-    run("length_parity", length_parity)
-    run("inverse_involution", inverse_involution)
-    run("descent_spherical", descent_spherical)
-    run("descent_agreement", descent_agreement)
-    run("coset_longest", coset_longest)
-    run("coset_step", coset_step_agreement)
-    run("descent_step_lemma", descent_step_lemma)
-    run("descent_class_partition", descent_class_partition)
+    checks: list[CheckResult] = []
+    for check in (
+        canonical_form, deletion_property, braid_invariance, length_parity,
+        inverse_involution, descent_spherical, descent_agreement,
+        coset_longest, coset_step, descent_step_lemma, descent_class_partition,
+    ):
+        start = time.perf_counter()
+        instances, failures = 0, []
+        for found in check():
+            instances += 1
+            failures += found
+        checks.append(CheckResult(
+            name=check.__name__,
+            instances=instances,
+            failures=failures,
+            radius=radius,
+            wall_ms=int((time.perf_counter() - start) * 1000),
+        ))
     return SuiteReport(system=name, radius=radius, checks=checks)

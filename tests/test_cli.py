@@ -258,3 +258,13 @@ def test_json_outputs_are_deterministic(capsys):
         _, first, _ = run(capsys, *argv)
         _, second, _ = run(capsys, *argv)
         assert first == second
+
+
+@pytest.mark.parametrize("s0, t0, message", [
+    ("s0", "t1", "error: t0=t1 is not an infinite-order witness among [t0]\n"),
+    ("t1", "t0", "error: (T=[t0, t1], s0=t1) fails the hypothesis\n"),
+])
+def test_trace_hypothesis_errors_name_generators(capsys, s0, t0, message):
+    code, out, err = run(capsys, "trace", "--system", "G1", "--subset", "t0,t1",
+                         "--period", "t0,s0", "--horizon", "3", "--s0", s0, "--t0", t0)
+    assert (code, out, err) == (2, "", message)

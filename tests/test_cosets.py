@@ -103,7 +103,9 @@ def test_coset_step_examples(g1):
 
     e = Element.identity(g1.matrix)
     out = coset_step(longest_in_coset(T, e), g1.index("t0"))
-    assert out.deleted_index == 0
+    assert not out.unchanged
+    deletions = [reduce_word(g1.matrix, x.letters[:i] + x.letters[i + 1:]) for i in range(x.length)]
+    assert deletions.index(out.x_next) == 0
     assert g1.spell(out.x_next) == ["t1"]
     assert g1.spell(out.pair.v) == ["t0", "t1"]
 
@@ -137,10 +139,13 @@ def test_coset_step_matches_scratch_everywhere(a3, b3, ta2, g1):
                     assert out.pair.check(T)
                     assert out.x_next == longest_in_coset(T, ws).x
                     assert out.x_next.length <= x.length
-                    if not out.unchanged:
-                        i = out.deleted_index
-                        dropped = reduce_word(cfg.matrix, x.letters[:i] + x.letters[i + 1:])
-                        assert dropped == out.x_next
+                    if out.unchanged:
+                        assert out.x_next == x
+                    else:
+                        assert any(
+                            reduce_word(cfg.matrix, x.letters[:i] + x.letters[i + 1:]) == out.x_next
+                            for i in range(x.length)
+                        )
 
 
 def test_in_WT_class_examples(a2):
@@ -175,6 +180,13 @@ def test_lemma4_examples(a2, g1):
 
     a = reduce_word(a2.matrix, a2.word("a"))
     assert not lemma4_apply(a, a2.index("b")).hypothesis_ok
+
+
+@pytest.mark.parametrize("s0", [-1, 3, 255])
+def test_lemma4_rejects_out_of_range_s0(a3, s0):
+    ab = reduce_word(a3.matrix, a3.word("a,b"))
+    with pytest.raises(ValueError, match="generator index"):
+        lemma4_apply(ab, s0)
 
 
 def test_lemma4_holds_over_g1_ball(g1):

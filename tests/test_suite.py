@@ -8,23 +8,28 @@ from coxkit import config_from_dict, cosets, lemma_suite, preset
 from coxkit.cli import run_command
 
 
+CHECK_NAMES = [
+    "canonical_form", "deletion_property", "braid_invariance", "length_parity",
+    "inverse_involution", "descent_spherical", "descent_agreement",
+    "coset_longest", "coset_step", "descent_step_lemma", "descent_class_partition",
+]
+
+
 def test_a2_radius_3_all_pass():
     report = lemma_suite(preset("A2"), radius=3)
     assert report.ok
     assert report.system == "A2"
-    by_name = {c.name: c for c in report.checks}
-    # The radius-3 ball is the whole order-6 group.
-    assert by_name["length_parity"].instances == 12
+    # The radius-3 ball is the whole order-6 group: 12 (element, letter) edges.
+    assert [(c.name, c.instances) for c in report.checks] == list(zip(
+        CHECK_NAMES, [15, 8, 12, 12, 6, 6, 6, 24, 24, 0, 6]))
     assert all(c.failures == [] for c in report.checks)
 
 
 def test_g1_radius_5_all_pass():
     report = lemma_suite(preset("G1"), radius=5)
     assert report.ok
-    by_name = {c.name: c for c in report.checks}
-    assert by_name["canonical_form"].instances > 0
-    assert by_name["coset_longest"].instances > 0
-    assert by_name["descent_step_lemma"].instances > 0
+    assert [(c.name, c.instances) for c in report.checks] == list(zip(
+        CHECK_NAMES, [364, 304, 778, 111, 37, 37, 37, 222, 270, 27, 37]))
     assert all(c.failures == [] for c in report.checks)
 
 
@@ -85,7 +90,7 @@ def test_broken_coset_step_fails_only_its_check(monkeypatch, capsys):
         if not outcome.unchanged:
             return outcome
         stale = cosets.CosetLongest(x=outcome.pair.x, v=pair.v, base=outcome.pair.base)
-        return cosets.StepOutcome(stale, None)
+        return cosets.StepOutcome(stale, True)
 
     monkeypatch.setattr(cosets, "coset_step", stale_v)
     report = lemma_suite(preset("A2"), radius=3)
@@ -100,3 +105,21 @@ def test_broken_coset_step_fails_only_its_check(monkeypatch, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert code == 1
     assert payload["ok"] is False
+
+
+def test_non_deletion_step_fails_only_its_check(monkeypatch):
+    # A changed step whose x' keeps the old x, which no one-letter deletion gives.
+    real_step = cosets.coset_step
+
+    def keep_x(pair, s):
+        outcome = real_step(pair, s)
+        if outcome.unchanged:
+            return outcome
+        kept = cosets.CosetLongest(x=pair.x, v=outcome.pair.v, base=outcome.pair.base)
+        return cosets.StepOutcome(kept, False)
+
+    monkeypatch.setattr(cosets, "coset_step", keep_x)
+    report = lemma_suite(preset("A2"), radius=3)
+    failing = [c for c in report.checks if c.failures]
+    assert [c.name for c in failing] == ["coset_step"]
+    assert "no one-letter deletion gives x' at W_[0], w=e, s=a" in failing[0].failures
