@@ -15,7 +15,7 @@ import sys
 from . import __version__
 from .cosets import longest_in_coset
 from .errors import CoxeterError, HypothesisFailed
-from .finite_type import classify, hypothesis_check, maximal_spherical_subsets
+from .finite_type import classify, hypothesis_check, is_spherical, maximal_spherical_subsets
 from .matrix import INF
 from .oracle import ball
 from .rays import make_ray, stabilize, theorem_trace
@@ -38,6 +38,14 @@ def _load_system(args) -> SystemConfig:
     if args.config:
         return load_config(args.config)
     return preset(args.system)
+
+
+def _spherical_subset(config: SystemConfig, text: str) -> frozenset[int]:
+    # The library's NonSphericalSubset gives indices; check first to name generators.
+    T = config.subset(text)
+    if not is_spherical(config.matrix, T):
+        raise CoxeterError(f"generator subset [{', '.join(config.spell(sorted(T)))}] spans an infinite parabolic subgroup")
+    return T
 
 
 def _order_json(order):
@@ -116,7 +124,7 @@ def _cmd_enumerate(args) -> int:
 def _cmd_longest_coset(args) -> int:
     config = _load_system(args)
     w = reduce_word(config.matrix, config.word(args.word))
-    pair = longest_in_coset(config.subset(args.subset), w)
+    pair = longest_in_coset(_spherical_subset(config, args.subset), w)
     _emit({
         "base": config.spell(pair.base),
         "x": config.spell(pair.x),
@@ -132,8 +140,7 @@ def _cmd_lemma_suite(args) -> int:
         raise ValueError("lemma-suite needs at least one --system or --config")
     reports = []
     for name in args.system or []:
-        config = preset(name)
-        reports.append(lemma_suite(config, args.radius))
+        reports.append(lemma_suite(preset(name), args.radius))
     for path in args.config or []:
         reports.append(lemma_suite(load_config(path), args.radius))
     _emit({
@@ -175,7 +182,7 @@ def _cmd_trace(args) -> int:
         config.word(args.period),
         horizon=args.horizon,
     )
-    T = config.subset(args.subset)
+    T = _spherical_subset(config, args.subset)
     if args.s0 is not None or args.t0 is not None:
         if args.s0 is None or args.t0 is None:
             raise ValueError("--s0 and --t0 must be given together")

@@ -1,8 +1,9 @@
 """Brute-force ground truth: BFS enumeration of Cayley-graph balls.
 
 The oracle builds the ball of radius L level by level, multiplying by one
-generator at a time, and never calls the braid-saturation reducer; the
-two code paths stay independent so they can cross-validate each other.
+generator at a time.  The Cayley BFS and its labels never call the
+braid-saturation reducer, so the two code paths cross-validate each other;
+the coset functions enumerate W_T by BFS but multiply with the reducer.
 
 Vertex identification uses the dihedral-polygon rule.  For generators
 s, t with m = m(s,t) finite, every left coset w<s,t> appears in the

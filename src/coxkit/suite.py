@@ -12,8 +12,9 @@ import time
 from dataclasses import dataclass
 from itertools import product
 
-from . import cosets, oracle, words
+from . import cosets, oracle
 from .finite_type import is_spherical, spherical_subsets
+from .matrix import INF
 from .systems import SystemConfig
 from .words import Element, inverse, left_descents, multiply, reduce_word, right_descents
 
@@ -110,22 +111,26 @@ def lemma_suite(config: SystemConfig, radius: int) -> SuiteReport:
             yield [] if hits else [f"no deletion pair for {_spell(config, word)}"]
 
     def braid_invariance():
-        kernel = words._kernel(matrix)
+        # The braid relations come from the matrix, not from the reducer: an
+        # alternating factor s.t.s... of length m(s, t) becomes t.s.t...
         for word in _all_words(matrix.n, word_cap):
             base = reduce_word(matrix, word)
-            w = bytes(word)
             neighbours = []
-            for pat, rep in kernel.moves:
-                start = w.find(pat)
-                while start != -1:
-                    neighbours.append(w[:start] + rep + w[start + len(pat):])
-                    start = w.find(pat, start + 1)
-            for i in range(len(w) - 1):
-                if w[i] == w[i + 1]:
-                    neighbours.append(w[:i] + w[i + 2:])
+            for i, s in enumerate(word):
+                for t in range(matrix.n):
+                    m = matrix.m(s, t)
+                    if t == s or m == INF or i + m > len(word):
+                        continue
+                    factor = tuple(s if k % 2 == 0 else t for k in range(m))
+                    if word[i:i + m] == factor:
+                        swapped = tuple(t if k % 2 == 0 else s for k in range(m))
+                        neighbours.append(word[:i] + swapped + word[i + m:])
+            for i in range(len(word) - 1):
+                if word[i] == word[i + 1]:
+                    neighbours.append(word[:i] + word[i + 2:])
             for u in neighbours:
-                ok = reduce_word(matrix, tuple(u)) == base
-                yield [] if ok else [f"move changed value: {_spell(config, word)} -> {_spell(config, tuple(u))}"]
+                ok = reduce_word(matrix, u) == base
+                yield [] if ok else [f"move changed value: {_spell(config, word)} -> {_spell(config, u)}"]
 
     def length_parity():
         for e in inner:

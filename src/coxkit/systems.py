@@ -121,7 +121,7 @@ _FIXED_PRESETS = {
 
 _I2_PATTERN = re.compile(r"^I2\((\d+|inf)\)$")
 
-PRESET_NAMES = tuple(sorted(_FIXED_PRESETS)) + ("I2(m)",)
+PRESET_NAMES = tuple(sorted(_FIXED_PRESETS)) + ("I2(<m>) with m >= 3 or inf",)
 
 
 def preset(name: str) -> SystemConfig:

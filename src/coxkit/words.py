@@ -5,7 +5,10 @@ braid-move closure of a word: replace any alternating factor stst... of
 length m(s,t) by tsts... of the same length, in every possible position,
 until the closure is saturated.  Whenever a word with two equal adjacent
 letters appears, that pair is deleted and the process restarts from the
-shorter word.  When no word in the closure admits a deletion, every word
+shorter word.  A rewrite swaps one alternating factor for another, so in
+a word with no equal pair a new pair can only straddle an end of the new
+factor (Tits' solution of the word problem): only those two spots are
+tested.  When no word in the closure admits a deletion, every word
 in it is a reduced expression of the element, and the lexicographically
 least one (equivalently ShortLex-least, all lengths being equal) is the
 canonical form.
@@ -27,6 +30,7 @@ Everything here is immutable and pure, hence safe under concurrent use.
 
 from __future__ import annotations
 
+import re
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
@@ -38,62 +42,47 @@ CLOSURE_BUDGET = 200_000
 
 
 def _alternating(s: int, t: int, length: int) -> bytes:
-    return bytes((s if i % 2 == 0 else t) for i in range(length))
+    return (bytes((s, t)) * (length // 2 + 1))[:length]
 
 
-@dataclass(frozen=True)
-class _Kernel:
-    """Per-matrix move tables: alternating patterns and their rewrites."""
-
-    moves: tuple[tuple[bytes, bytes], ...]
-    doubles: tuple[bytes, ...]
+# Generator 10 is the byte b"\n", which "." matches only under DOTALL.
+_EQUAL_PAIR = re.compile(rb"(.)\1", re.DOTALL)
 
 
 @lru_cache(maxsize=256)
-def _kernel(matrix: CoxeterMatrix) -> _Kernel:
+def _moves(matrix: CoxeterMatrix) -> tuple[tuple[bytes, bytes], ...]:
+    """Every braid move of the matrix: an alternating pattern and its rewrite."""
     moves = []
     for s in range(matrix.n):
         for t in range(matrix.n):
-            if s == t:
-                continue
             m = matrix.m(s, t)
-            if m == INF:
-                continue
-            moves.append((_alternating(s, t, m), _alternating(t, s, m)))
-    doubles = tuple(bytes((g, g)) for g in range(matrix.n))
-    return _Kernel(tuple(moves), doubles)
+            if s != t and m != INF:
+                moves.append((_alternating(s, t, m), _alternating(t, s, m)))
+    return tuple(moves)
 
 
-def _first_double(doubles, word: bytes) -> int:
-    best = -1
-    for d in doubles:
-        i = word.find(d)
-        if i != -1 and (best == -1 or i < best):
-            best = i
-    return best
-
-
-def _saturate_stage(kernel: _Kernel, word: bytes):
+def _saturate_stage(moves, word: bytes):
     """Braid-close ``word``; stop early at the first adjacent equal pair.
 
     Returns ``(shorter_word, None)`` when a deletion fires, else
     ``(None, closure)``: every reduced word of the element.
     """
-    i = _first_double(kernel.doubles, word)
-    if i >= 0:
-        return word[:i] + word[i + 2:], None
+    if pair := _EQUAL_PAIR.search(word):
+        return word[:pair.start()] + word[pair.end():], None
     seen = {word}
     queue = deque((word,))
     while queue:
         w = queue.popleft()
-        for pat, rep in kernel.moves:
+        for pat, rep in moves:
             start = w.find(pat)
             while start != -1:
-                u = w[:start] + rep + w[start + len(pat):]
+                end = start + len(pat)
+                u = w[:start] + rep + w[end:]
                 if u not in seen:
-                    i = _first_double(kernel.doubles, u)
-                    if i >= 0:
-                        return u[:i] + u[i + 2:], None
+                    # A new equal pair can only straddle an end of rep; left first.
+                    for i in (start - 1, end - 1):
+                        if 0 <= i < len(u) - 1 and u[i] == u[i + 1]:
+                            return u[:i] + u[i + 2:], None
                     seen.add(u)
                     if len(seen) > CLOSURE_BUDGET:
                         raise ClosureBudgetExceeded(CLOSURE_BUDGET, len(word))
@@ -109,7 +98,7 @@ def _reduce_bytes(matrix: CoxeterMatrix, word: bytes):
     A descent set is stored as the bytes of its sorted letters: empty and
     one-letter bytes are shared objects, so most entries hold no extra set.
     """
-    shorter, closure = _saturate_stage(_kernel(matrix), word)
+    shorter, closure = _saturate_stage(_moves(matrix), word)
     if shorter is None:
         left, right = (bytes(sorted({w[i] for w in closure})) if word else word for i in (0, -1))
         return min(closure), left, right
@@ -166,13 +155,9 @@ def is_reduced(matrix: CoxeterMatrix, letters) -> bool:
     return len(_reduce_bytes(matrix, word)[0]) == len(word)
 
 
-def _require_same_system(u: Element, v: Element) -> None:
+def multiply(u: Element, v: Element) -> Element:
     if u.matrix != v.matrix:
         raise ValueError("elements belong to different Coxeter systems")
-
-
-def multiply(u: Element, v: Element) -> Element:
-    _require_same_system(u, v)
     return reduce_word(u.matrix, u.letters + v.letters)
 
 

@@ -111,6 +111,15 @@ def test_unknown_preset_exits_2(capsys):
     assert "unknown preset" in err
 
 
+def test_unknown_preset_spells_the_dihedral_pattern(capsys):
+    code, out, err = run(capsys, "lemma-suite", "--system", "I2(m)", "--radius", "4")
+    assert (code, out) == (2, "")
+    assert err == ("error: unknown preset 'I2(m)'; available: A2, A3, B3, Dinf, G1, H3, "
+                   "tilde-A2, I2(<m>) with m >= 3 or inf\n")
+    code, out, _ = run(capsys, "reduce", "--help")
+    assert code == 0 and "I2(<m>) with m >= 3 or inf" in " ".join(out.split())
+
+
 def test_unknown_generator_exits_2(capsys):
     code, _, err = run(capsys, "reduce", "--system", "A2", "--word", "a,z")
     assert code == 2
@@ -268,3 +277,12 @@ def test_trace_hypothesis_errors_name_generators(capsys, s0, t0, message):
     code, out, err = run(capsys, "trace", "--system", "G1", "--subset", "t0,t1",
                          "--period", "t0,s0", "--horizon", "3", "--s0", s0, "--t0", t0)
     assert (code, out, err) == (2, "", message)
+
+
+@pytest.mark.parametrize("argv", [
+    ["trace", "--period", "t0,s0", "--horizon", "3"],
+    ["longest-coset", "--word", "t1"],
+])
+def test_non_spherical_subset_errors_name_generators(capsys, argv):
+    code, out, err = run(capsys, *argv, "--system", "G1", "--subset", "s0,t0")
+    assert (code, out, err) == (2, "", "error: generator subset [s0, t0] spans an infinite parabolic subgroup\n")

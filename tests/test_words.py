@@ -1,10 +1,12 @@
 """Word-problem operations against hand-checked and oracle-checked values."""
 
-from itertools import product
+from collections import deque
+from itertools import chain, product
 
 import pytest
 
 from coxkit import (
+    INF,
     ClosureBudgetExceeded,
     Element,
     ball,
@@ -13,8 +15,10 @@ from coxkit import (
     is_reduced,
     left_descents,
     multiply,
+    preset,
     reduce_word,
     right_descents,
+    validate_matrix,
     words,
 )
 
@@ -169,24 +173,119 @@ def test_reduce_is_canonical_form(a2, g1, ta2):
             assert fast == slow, (cfg.label, word)
 
 
+def _braid_neighbours(matrix, word):
+    """Words one braid move from ``word``, enumerated from the matrix: for
+    s = word[i] and m = m(s, t) finite, s.t.s... of length m at i becomes
+    t.s.t..."""
+    out = []
+    for i, s in enumerate(word):
+        for t in range(matrix.n):
+            m = matrix.m(s, t)
+            if t == s or m == INF:
+                continue
+            factor = tuple(s if k % 2 == 0 else t for k in range(m))
+            if word[i:i + m] == factor:
+                swapped = tuple(t if k % 2 == 0 else s for k in range(m))
+                out.append(word[:i] + swapped + word[i + m:])
+    return out
+
+
 def test_braid_move_and_deletion_leave_value(b3):
     # Single moves never change reduce(): commutations, braid rewrites,
     # and adjacent-pair deletions.
-    from coxkit.words import _kernel
-
-    kernel = _kernel(b3.matrix)
     for word in _all_words(b3.matrix.n, 5):
-        w = bytes(word)
         base = reduce_word(b3.matrix, word)
-        for pat, rep in kernel.moves:
+        for u in _braid_neighbours(b3.matrix, word):
+            assert reduce_word(b3.matrix, u) == base
+        for i in range(len(word) - 1):
+            if word[i] == word[i + 1]:
+                assert reduce_word(b3.matrix, word[:i] + word[i + 2:]) == base
+
+
+# The reducer's stage tests for a new equal pair only at the two ends of
+# each rewrite.  The reference below is the full scan it replaced: every
+# new word is searched for the leftmost equal pair of any generator.
+
+def _move_table(matrix):
+    moves = []
+    for s in range(matrix.n):
+        for t in range(matrix.n):
+            m = matrix.m(s, t)
+            if s != t and m != INF:
+                moves.append((bytes(s if k % 2 == 0 else t for k in range(m)),
+                              bytes(t if k % 2 == 0 else s for k in range(m))))
+    return tuple(moves)
+
+
+def _first_double(doubles, word):
+    best = -1
+    for d in doubles:
+        i = word.find(d)
+        if i != -1 and (best == -1 or i < best):
+            best = i
+    return best
+
+
+def _full_scan_stage(moves, doubles, word):
+    i = _first_double(doubles, word)
+    if i >= 0:
+        return word[:i] + word[i + 2:], None
+    seen = {word}
+    queue = deque((word,))
+    while queue:
+        w = queue.popleft()
+        for pat, rep in moves:
             start = w.find(pat)
             while start != -1:
                 u = w[:start] + rep + w[start + len(pat):]
-                assert reduce_word(b3.matrix, tuple(u)) == base
+                if u not in seen:
+                    i = _first_double(doubles, u)
+                    if i >= 0:
+                        return u[:i] + u[i + 2:], None
+                    seen.add(u)
+                    queue.append(u)
                 start = w.find(pat, start + 1)
-        for i in range(len(w) - 1):
-            if w[i] == w[i + 1]:
-                assert reduce_word(b3.matrix, tuple(w[:i] + w[i + 2:])) == base
+    return None, seen
+
+
+def _pair_free_words(letters, max_len):
+    level = [()]
+    for _ in range(max_len):
+        level = [w + (s,) for w in level for s in letters if not w or w[-1] != s]
+        yield from level
+
+
+def _chain_matrix(n):
+    return validate_matrix([[1 if i == j else 3 if abs(i - j) == 1 else 2 for j in range(n)]
+                            for i in range(n)])
+
+
+@pytest.mark.parametrize("name", ["A2", "A3", "B3", "H3", "G1", "tilde-A2", "I2(5)", "Dinf", "A11"])
+def test_two_end_scan_matches_full_scan(name):
+    if name == "A11":
+        # 11^6 words are too many.  All words of length <= 3 still use
+        # letter 10 (the byte b"\n") next to every other letter, and the
+        # pair-free words over the last three letters reach length 10.
+        matrix = _chain_matrix(11)
+        words_in = chain(_all_words(11, 3), _pair_free_words((8, 9, 10), 10))
+    else:
+        matrix = preset(name).matrix
+        words_in = chain(_all_words(matrix.n, 6), _pair_free_words(range(matrix.n), 10))
+    moves = _move_table(matrix)
+    doubles = tuple(bytes((g, g)) for g in range(matrix.n))
+    for word in words_in:
+        w = bytes(word)
+        assert words._saturate_stage(moves, w) == _full_scan_stage(moves, doubles, w), word
+
+
+def test_huge_dihedral_order_reduces():
+    # m(a, b) = 10**7: each move pattern holds 10**7 bytes.  Correctness
+    # only; there is no timing gate.
+    cfg = preset("I2(10000000)")
+    aba = reduce_word(cfg.matrix, cfg.word("a,b,a"))
+    assert aba.letters == (0, 1, 0)
+    assert right_descents(aba) == left_descents(aba) == {0}
+    assert reduce_word(cfg.matrix, cfg.word("b,a,b,b,a")).letters == (1,)
 
 
 def test_inverse_properties_over_ball(b3, g1):
