@@ -266,9 +266,11 @@ def coset_elements(members, w: Element) -> list[Element]:
     return sorted((multiply(x, w) for x in xs), key=Element.sort_key)
 
 
-def longest_in_coset_oracle(members, w: Element) -> Element:
-    """The longest element of W_T.w by exhaustive enumeration."""
-    coset = coset_elements(members, w)
+def unique_top(members, w: Element, coset: list[Element]) -> Element:
+    """The longest element of ``coset`` = W_T.w, given in (length, word) order.
+
+    Raises `NonUniqueMaximum` when two members share the maximal length.
+    """
     top = coset[-1]
     if len(coset) > 1 and coset[-2].length == top.length:
         raise NonUniqueMaximum(
@@ -276,3 +278,8 @@ def longest_in_coset_oracle(members, w: Element) -> Element:
             f"of maximal length {top.length}"
         )
     return top
+
+
+def longest_in_coset_oracle(members, w: Element) -> Element:
+    """The longest element of W_T.w by exhaustive enumeration."""
+    return unique_top(members, w, coset_elements(members, w))

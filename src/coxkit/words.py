@@ -156,7 +156,8 @@ def is_reduced(matrix: CoxeterMatrix, letters) -> bool:
 
 
 def multiply(u: Element, v: Element) -> Element:
-    if u.matrix != v.matrix:
+    # `is` first: elements of one system share its matrix, and multiply is hot.
+    if u.matrix is not v.matrix and u.matrix != v.matrix:
         raise ValueError("elements belong to different Coxeter systems")
     return reduce_word(u.matrix, u.letters + v.letters)
 

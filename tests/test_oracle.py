@@ -8,6 +8,7 @@ import pytest
 from coxkit import (
     Element,
     NonSphericalSubset,
+    NonUniqueMaximum,
     SizeBudgetExceeded,
     ball,
     coset_elements,
@@ -196,6 +197,14 @@ def test_longest_in_coset_oracle_examples(a2, g1):
     assert longest_in_coset_oracle(frozenset(), w) == w
     ea = Element.identity(a2.matrix)
     assert a2.spell(longest_in_coset_oracle({0, 1}, ea)) == ["a", "b", "a"]
+
+
+def test_unique_top_rejects_a_tied_maximum(a2):
+    # No true coset has two longest members; a hand-built list stands in.
+    e, a, b = Element.identity(a2.matrix), a2.gen("a"), a2.gen("b")
+    assert oracle.unique_top({0}, e, [e, a]) == a
+    with pytest.raises(NonUniqueMaximum, match=r"W_\[0, 1\]\.Element\(e\) has two elements of maximal length 1"):
+        oracle.unique_top({0, 1}, e, [e, a, b])
 
 
 def test_branched_diagram_enumeration():

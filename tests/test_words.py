@@ -74,6 +74,13 @@ def test_multiply_rejects_mixed_systems(a2, a3):
         multiply(a2.gen("a"), a3.gen("a"))
 
 
+def test_multiply_accepts_equal_matrix_objects(a2):
+    # Two loads of one preset build equal but distinct matrices.
+    again = preset("A2")
+    assert again.matrix is not a2.matrix
+    assert a2.spell(multiply(a2.gen("a"), again.gen("b"))) == ["a", "b"]
+
+
 def test_word_letters_validated(a2):
     for letter in (-1, 2, 5, 256, "a", 1.5):
         message = f"generator index {letter!r} out of range \\[0, 2\\)"
