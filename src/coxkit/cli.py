@@ -17,8 +17,8 @@ from .cosets import longest_in_coset
 from .errors import CoxeterError, HypothesisFailed
 from .finite_type import classify, hypothesis_check, is_spherical, maximal_spherical_subsets
 from .matrix import INF
-from .oracle import ball
-from .rays import make_ray, stabilize, theorem_trace
+from .oracle import DEFAULT_SIZE_BUDGET, ball
+from .rays import DEFAULT_HORIZON, make_ray, stabilize, theorem_trace
 from .suite import lemma_suite
 from .systems import PRESET_NAMES, SystemConfig, config_to_dict, load_config, preset
 from .words import left_descents, reduce_word, right_descents
@@ -244,7 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("enumerate", help="JSON lines for every element of a ball")
     _system_arg(p)
     p.add_argument("--radius", type=int, required=True)
-    p.add_argument("--max-elements", type=int, default=200_000)
+    p.add_argument("--max-elements", type=int, default=DEFAULT_SIZE_BUDGET)
     p.add_argument("--dot", metavar="PATH", help="also write the Cayley graph in DOT form")
     p.set_defaults(fn=_cmd_enumerate)
 
@@ -266,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--subset", required=True, help="the spherical subset T")
     p.add_argument("--prefix", default="", help="ray prefix (default empty)")
     p.add_argument("--period", required=True, help="ray period, comma-separated names")
-    p.add_argument("--horizon", type=int, default=50)
+    p.add_argument("--horizon", type=int, default=DEFAULT_HORIZON)
     p.add_argument("--s0", help="run the membership checks with this s0")
     p.add_argument("--t0", help="infinite-order witness t0 for the membership checks")
     p.add_argument("--csv", metavar="PATH", help="also write (i, len_w, len_x) rows")

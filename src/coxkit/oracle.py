@@ -5,22 +5,24 @@ generator at a time.  The Cayley BFS and its labels never call the
 braid-saturation reducer, so the two code paths cross-validate each other;
 the coset functions enumerate W_T by BFS but multiply with the reducer.
 
-Vertex identification uses the dihedral-polygon rule.  For generators
-s, t with m = m(s,t) finite, every left coset w<s,t> appears in the
+Down-edges come from the dihedral-polygon rule.  For generators s, t
+with m = m(s,t) finite, every left coset w<s,t> appears in the
 right-multiplication Cayley graph as a 2m-gon whose lowest vertex is the
 minimal coset representative and whose two geodesic sides meet again at
 the top.  An element with two descents s and t is necessarily the top of
 such a polygon (no dihedral element short of the longest has two
-descents, and two descents force m(s,t) finite), so every coincidence
-v.s = u.t between freshly created vertices is found by walking m-1 steps
-down one side of the polygon and m-1 steps up the other.  Length
-bookkeeping is the +/-1 law: each edge changes BFS depth by exactly one.
+descents, and two descents force m(s,t) finite), so a new vertex v.s
+finds its down-edge through t by walking m-1 steps down one side of the
+polygon and m-1 steps up the other.  Every down-edge is set when its
+vertex is created, so an edge still unset at the frontier leads to a new
+vertex one level up: each edge changes BFS depth by exactly one.
 
-Per-vertex canonical labels (`oracle_canonical`) are computed afterwards
-by dynamic programming over down-edges: the least label of a vertex is
-the least label among its down-neighbours extended by the connecting
-letter.  This reproduces the ShortLex-least reduced word without braid
-moves.
+Canonical labels (`oracle_canonical`) follow the ShortLex discovery
+rule.  Level k is scanned in ShortLex order and letters in increasing
+order, so the unset edge (v, s) that creates a vertex is its
+ShortLex-least down-edge: the vertex gets label(v).s, the ShortLex-least
+reduced word, without braid moves, and level k+1 is created in ShortLex
+order too.  Vertex ids thus run in (length, word) order.
 """
 
 from __future__ import annotations
@@ -39,12 +41,14 @@ DEFAULT_SIZE_BUDGET = 200_000
 def _bfs(matrix: CoxeterMatrix, radius: int | None, max_elements: int):
     """Level-by-level Cayley BFS; ``radius=None`` runs until the group closes.
 
-    Returns (depths, edges, closed) where edges[v][s] is the neighbour
-    vertex id or -1 for an edge never explored (beyond the radius).
+    Returns (words, edges, closed) where words[v] is the ShortLex-least
+    reduced word of vertex v, ids run in (length, word) order, and
+    edges[v][s] is the neighbour vertex id or -1 for an edge never
+    explored (beyond the radius).
     """
     n = matrix.n
     orders = matrix.orders
-    depths = [0]
+    words = [b""]
     edges = [[-1] * n]
     lo, hi = 0, 1
     k = 0
@@ -53,9 +57,14 @@ def _bfs(matrix: CoxeterMatrix, radius: int | None, max_elements: int):
             for s in range(n):
                 if edges[v][s] != -1:
                     continue
-                # Unknown edge at the frontier: v.s ascends to depth k+1.
+                # Unset frontier edge: v.s is a new vertex at depth k+1, and
+                # (v, s) its ShortLex-least down-edge.
+                if len(words) >= max_elements:
+                    raise SizeBudgetExceeded(max_elements)
+                target = len(words)
+                words.append(words[v] + bytes((s,)))
+                edges.append([-1] * n)
                 slots = [(v, s)]
-                target = -1
                 for t in range(n):
                     if t == s or orders[s][t] == INF:
                         continue
@@ -65,7 +74,7 @@ def _bfs(matrix: CoxeterMatrix, radius: int | None, max_elements: int):
                     cur, lab = v, t
                     for _ in range(m - 1):
                         nxt = edges[cur][lab]
-                        if nxt < 0 or depths[nxt] != depths[cur] - 1:
+                        if nxt < 0 or len(words[nxt]) != len(words[cur]) - 1:
                             cur = -1
                             break
                         cur = nxt
@@ -81,45 +90,17 @@ def _bfs(matrix: CoxeterMatrix, radius: int | None, max_elements: int):
                         if up < 0:
                             raise RuntimeError("polygon side missing below the frontier; this signals a defect")
                     slots.append((up, t))
-                    known = edges[up][t]
-                    if known != -1:
-                        if target not in (-1, known):
-                            raise RuntimeError("inconsistent polygon tops; this signals a defect")
-                        target = known
-                if target == -1:
-                    if len(depths) >= max_elements:
-                        raise SizeBudgetExceeded(max_elements)
-                    target = len(depths)
-                    depths.append(k + 1)
-                    edges.append([-1] * n)
                 for x, r in slots:
-                    if edges[x][r] not in (-1, target) or edges[target][r] not in (-1, x):
+                    if edges[x][r] != -1:
                         raise RuntimeError("conflicting Cayley edges; this signals a defect")
                     edges[x][r] = target
                     edges[target][r] = x
-        lo, hi = hi, len(depths)
+        lo, hi = hi, len(words)
         k += 1
     # Down-edges are always set at vertex creation, so an unresolved slot
     # can only lead out of the ball: the group closed inside it iff none.
     closed = all(e != -1 for row in edges for e in row)
-    return depths, edges, closed
-
-
-def _canonical_labels(n: int, depths: list[int], edges: list[list[int]]) -> list[bytes]:
-    """Lex-least reduced word per vertex, by DP over down-edges."""
-    words: list[bytes] = [b""] * len(depths)
-    for v in range(1, len(depths)):
-        best = None
-        for s in range(n):
-            u = edges[v][s]
-            if u >= 0 and depths[u] == depths[v] - 1:
-                cand = words[u] + bytes((s,))
-                if best is None or cand < best:
-                    best = cand
-        if best is None:
-            raise RuntimeError("vertex with no down edge; this signals a defect")
-        words[v] = best
-    return words
+    return words, edges, closed
 
 
 @dataclass(frozen=True)
@@ -129,13 +110,12 @@ class Ball:
     matrix: CoxeterMatrix
     radius: int
     closed: bool                      # true when the whole group fit inside
-    _depths: tuple[int, ...] = field(repr=False)
     _edges: tuple[tuple[int, ...], ...] = field(repr=False)
-    _words: tuple[bytes, ...] = field(repr=False)
+    _words: tuple[bytes, ...] = field(repr=False)     # in (length, word) order
     _index: dict = field(repr=False, hash=False, compare=False)
 
     def __len__(self) -> int:
-        return len(self._depths)
+        return len(self._words)
 
     def _owns(self, element: Element) -> bool:
         # `is` first: elements taken from the ball share its matrix, and edge lookups are hot.
@@ -147,14 +127,12 @@ class Ball:
     @property
     def elements(self) -> list[Element]:
         """Ball members in (length, word) order."""
-        out = [Element(self.matrix, tuple(w)) for w in self._words]
-        out.sort(key=Element.sort_key)
-        return out
+        return [Element(self.matrix, tuple(w)) for w in self._words]
 
     def level_sizes(self) -> tuple[int, ...]:
-        counts = [0] * (max(self._depths) + 1)
-        for d in self._depths:
-            counts[d] += 1
+        counts = [0] * (len(self._words[-1]) + 1)
+        for w in self._words:
+            counts[len(w)] += 1
         return tuple(counts)
 
     def _vertex(self, element: Element) -> int:
@@ -166,7 +144,7 @@ class Ball:
             raise ValueError(f"{element!r} is outside ball({self.radius})") from None
 
     def depth_of(self, element: Element) -> int:
-        return self._depths[self._vertex(element)]
+        return len(self._words[self._vertex(element)])
 
     def edge(self, element: Element, s: int) -> Element | None:
         """The neighbour element.s, or None when it falls outside the ball."""
@@ -179,10 +157,10 @@ class Ball:
     def right_descents_of(self, element: Element) -> frozenset[int]:
         """Descents straight from the adjacency (no reducer involved)."""
         v = self._vertex(element)
-        d = self._depths[v]
+        d = len(self._words[v])
         return frozenset(
             s for s in range(self.matrix.n)
-            if self._edges[v][s] >= 0 and self._depths[self._edges[v][s]] == d - 1
+            if self._edges[v][s] >= 0 and len(self._words[self._edges[v][s]]) == d - 1
         )
 
     def resolve(self, letters) -> Element:
@@ -202,7 +180,7 @@ class Ball:
         lines = ["graph cayley_ball {"]
         for v, w in enumerate(self._words):
             lines.append(f'  n{v} [label="{label(w)}"];')
-        for v in range(len(self._depths)):
+        for v in range(len(self._words)):
             for s in range(self.matrix.n):
                 u = self._edges[v][s]
                 if u > v:
@@ -212,18 +190,16 @@ class Ball:
 
 
 def _build(matrix: CoxeterMatrix, radius: int | None, max_elements: int) -> Ball:
-    """BFS to ``radius``, or to closure when it is None, then label every vertex."""
+    """BFS to ``radius``, or to closure when it is None."""
     if max_elements < 1:
         raise ValueError("max_elements must be >= 1")
-    depths, edges, closed = _bfs(matrix, radius, max_elements)
+    words, edges, closed = _bfs(matrix, radius, max_elements)
     if radius is None and not closed:
         raise RuntimeError("the Cayley BFS stopped with unexplored edges; this signals a defect")
-    words = _canonical_labels(matrix.n, depths, edges)
     return Ball(
         matrix=matrix,
-        radius=max(depths) if radius is None else radius,
+        radius=len(words[-1]) if radius is None else radius,
         closed=closed,
-        _depths=tuple(depths),
         _edges=tuple(tuple(row) for row in edges),
         _words=tuple(words),
         _index={w: v for v, w in enumerate(words)},
@@ -251,13 +227,14 @@ def _parabolic_elements(matrix: CoxeterMatrix, members: frozenset[int]) -> tuple
     sub = matrix.submatrix(members)
     back = sorted(members)
     group = full_group(sub, max_elements=verdict.order + 1)
-    out = [
+    # back is increasing, so relabelling keeps the (length, word) order.
+    out = tuple(
         Element(matrix, tuple(back[c] for c in w))
         for w in group._words
-    ]
+    )
     if len(out) != verdict.order:
         raise RuntimeError(f"W_{sorted(members)} has {len(out)} elements, not {verdict.order}; this signals a defect")
-    return tuple(sorted(out, key=Element.sort_key))
+    return out
 
 
 def coset_elements(members, w: Element) -> list[Element]:

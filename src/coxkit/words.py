@@ -130,12 +130,6 @@ class Element:
     def length(self) -> int:
         return len(self.letters)
 
-    def __mul__(self, other: "Element") -> "Element":
-        return multiply(self, other)
-
-    def inverse(self) -> "Element":
-        return inverse(self)
-
     def sort_key(self) -> tuple[int, tuple[int, ...]]:
         return (len(self.letters), self.letters)
 

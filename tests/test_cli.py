@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from coxkit.cli import run_command
+from coxkit import oracle, rays
+from coxkit.cli import build_parser, run_command
 
 
 def run(capsys, *argv):
@@ -179,6 +180,16 @@ def test_lemma_suite_pass_and_exit_codes(capsys):
     assert all(c["failures"] == [] for c in payload["systems"][0]["checks"])
 
 
+def test_lemma_suite_config_file(capsys, tmp_path):
+    path = tmp_path / "a2.json"
+    path.write_text(json.dumps({"generators": ["a", "b"], "orders": [[1, 3], [3, 1]]}))
+    from_file = run_json(capsys, "lemma-suite", "--config", str(path), "--radius", "3")
+    from_preset = run_json(capsys, "lemma-suite", "--system", "A2", "--radius", "3")
+    assert from_file["ok"] is True
+    assert from_file["systems"][0]["system"] == str(path)
+    assert from_file["systems"][0]["checks"] == from_preset["systems"][0]["checks"]
+
+
 def test_lemma_suite_empty_system_list(capsys):
     # A sweep over no systems checks nothing, so it must not pass.
     code, out, err = run(capsys, "lemma-suite", "--radius", "3")
@@ -240,6 +251,26 @@ def test_trace_without_membership_args(capsys):
                        "--period", "t0,s0", "--horizon", "8")
     assert code == 0
     assert json.loads(out)["memberships"] == []
+
+
+def test_trace_zero_horizon_exits_2(capsys):
+    code, out, err = run(capsys, "trace", "--system", "G1", "--subset", "t0,t1",
+                         "--period", "t0,s0", "--horizon", "0")
+    assert (code, out, err) == (2, "", "error: horizon must be >= 1\n")
+
+
+def test_trace_s0_without_t0_exits_2(capsys):
+    code, out, err = run(capsys, "trace", "--system", "G1", "--subset", "t0,t1",
+                         "--period", "t0,s0", "--horizon", "8", "--s0", "s0")
+    assert (code, out, err) == (2, "", "error: --s0 and --t0 must be given together\n")
+
+
+def test_defaults_are_the_library_constants():
+    parser = build_parser()
+    enumerate_args = parser.parse_args(["enumerate", "--system", "A2", "--radius", "1"])
+    trace_args = parser.parse_args(["trace", "--system", "G1", "--subset", "t0", "--period", "s0"])
+    assert enumerate_args.max_elements == oracle.DEFAULT_SIZE_BUDGET
+    assert trace_args.horizon == rays.DEFAULT_HORIZON
 
 
 def test_trace_hypothesis_failure_exits_2(capsys):

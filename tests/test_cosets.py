@@ -1,8 +1,11 @@
 """Longest coset representatives, the one-letter evolution, descent classes."""
 
+from dataclasses import replace
+
 import pytest
 
 from coxkit import (
+    CosetLongest,
     Element,
     LengthDecreases,
     NonSphericalSubset,
@@ -39,6 +42,15 @@ def test_longest_in_coset_examples(g1):
     pair = longest_in_coset(T, t0)
     assert g1.spell(pair.x) == ["t1"]
     assert g1.spell(pair.v) == ["t0", "t1"]
+
+
+def test_check_rejects_broken_invariants(a2, g1):
+    T = g1.subset("t0,t1")
+    pair = longest_in_coset(T, reduce_word(g1.matrix, g1.word("s0")))
+    assert not replace(pair, v=pair.base).check(T)  # v != x.base
+    # x.base = v, but the lengths do not add: a.a = e.
+    a = a2.gen("a")
+    assert not CosetLongest(x=a, v=Element.identity(a2.matrix), base=a).check({0})
 
 
 def test_longest_rejects_nonspherical(g1):

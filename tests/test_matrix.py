@@ -9,6 +9,7 @@ from coxkit import (
     OffDiagonalBelowTwo,
     config_from_dict,
     config_to_dict,
+    preset,
     validate_matrix,
 )
 
@@ -52,6 +53,16 @@ def test_junk_entry_rejected():
         validate_matrix([[1, 2.5], [2.5, 1]])
 
 
+def test_bool_entry_rejected():
+    with pytest.raises(ValueError, match=r"order entry \(0,1\) is a bool"):
+        validate_matrix([[1, True], [True, 1]])
+
+
+def test_more_than_255_generators_rejected():
+    with pytest.raises(ValueError, match="at most 255 generators are supported"):
+        validate_matrix([[1] * 256] * 256)
+
+
 def test_inf_spellings_are_equivalent():
     a = validate_matrix([[1, "inf"], ["inf", 1]])
     b = validate_matrix([[1, math.inf], [math.inf, 1]])
@@ -87,3 +98,13 @@ def test_config_rejects_duplicate_names():
 def test_config_rejects_name_count_mismatch():
     with pytest.raises(ValueError):
         config_from_dict({"generators": ["a"], "orders": [[1, 3], [3, 1]]})
+
+
+def test_config_rejects_missing_fields():
+    with pytest.raises(ValueError, match=r"config is missing fields: \['orders'\]"):
+        config_from_dict({"generators": ["a"]})
+
+
+def test_preset_rejects_small_dihedral_order():
+    with pytest.raises(ValueError, match=r"I2\(m\) needs m >= 3"):
+        preset("I2(2)")

@@ -41,6 +41,20 @@ def test_nonpositive_max_elements_is_rejected(a2, budget, capsys):
     assert captured.err.splitlines() == ["error: max_elements must be >= 1"]
 
 
+def test_negative_radius_is_rejected(a2):
+    with pytest.raises(ValueError, match="radius must be >= 0"):
+        ball(a2.matrix, -1)
+
+
+def test_lookups_past_the_radius(a2):
+    b = ball(a2.matrix, 2)
+    ab = reduce_word(a2.matrix, a2.word("a,b"))
+    assert b.edge(ab, a2.index("b")) == a2.gen("a")
+    assert b.edge(ab, a2.index("a")) is None
+    with pytest.raises(ValueError, match=r"Element\(0\.1\.0\) is outside ball\(2\)"):
+        b.depth_of(reduce_word(a2.matrix, a2.word("a,b,a")))
+
+
 def test_radius_zero_is_identity(g1):
     b = ball(g1.matrix, 0)
     assert len(b) == 1

@@ -9,18 +9,59 @@ from coxkit import INF, ball, reduce_word, validate_matrix  # noqa: E402
 
 
 @st.composite
-def matrix_and_word(draw):
-    n = draw(st.integers(1, 4))
+def matrices(draw):
+    n = draw(st.integers(1, 5))
     table = [[1] * n for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
-            table[i][j] = table[j][i] = draw(st.sampled_from([2, 3, 4, 5, 6, INF]))
-    word = draw(st.lists(st.integers(0, n - 1), max_size=6))
-    return validate_matrix(table), tuple(word)
+            table[i][j] = table[j][i] = draw(st.sampled_from([2, 3, 4, 5, 6, 7, 8, INF]))
+    return validate_matrix(table)
+
+
+@st.composite
+def matrix_and_word(draw):
+    matrix = draw(matrices())
+    word = draw(st.lists(st.integers(0, matrix.n - 1), max_size=6))
+    return matrix, tuple(word)
 
 
 @settings(derandomize=True, deadline=None)
 @given(matrix_and_word())
 def test_reduce_matches_oracle_on_random_matrices(case):
     matrix, word = case
-    assert reduce_word(matrix, word) == ball(matrix, 6).resolve(word)
+    assert reduce_word(matrix, word) == ball(matrix, len(word)).resolve(word)
+
+
+def _down_edge_labels(b):
+    """Reference labelling: BFS depths from the adjacency alone, then the
+    lex-least label of each vertex is the least label among its
+    down-neighbours extended by the connecting letter."""
+    edges = b._edges
+    depths = [-1] * len(edges)
+    depths[0] = 0
+    frontier = [0]
+    while frontier:
+        nxt = []
+        for v in frontier:
+            for u in edges[v]:
+                if u >= 0 and depths[u] < 0:
+                    depths[u] = depths[v] + 1
+                    nxt.append(u)
+        frontier = nxt
+    words = [b""] * len(edges)
+    for v in sorted(range(1, len(edges)), key=depths.__getitem__):
+        words[v] = min(
+            words[u] + bytes((s,))
+            for s, u in enumerate(edges[v])
+            if u >= 0 and depths[u] == depths[v] - 1
+        )
+    return words
+
+
+@settings(derandomize=True, deadline=None)
+@given(matrices(), st.integers(0, 5))
+def test_discovery_labels_match_down_edge_dp(matrix, radius):
+    b = ball(matrix, radius)
+    words = list(b._words)
+    assert words == _down_edge_labels(b)
+    assert words == sorted(words, key=lambda w: (len(w), w))

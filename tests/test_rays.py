@@ -27,6 +27,8 @@ def test_make_ray_alternating_infinite_order(g1):
     assert ray.letter(1) == g1.index("t0")
     assert ray.letter(2) == g1.index("s0")
     assert ray.letter(51) == g1.index("t0")
+    with pytest.raises(ValueError, match="letters are indexed from 1"):
+        ray.letter(0)
 
 
 def test_make_ray_rejects_braid_collapse(a2):
@@ -125,6 +127,14 @@ def test_stabilize_plain_letter_stream(g1):
     assert report.stabilization.reason == HORIZON_ONLY
     with pytest.raises(TypeError, match="RaySpec"):
         stabilize(T, ray.letters(2), horizon=2)
+    with pytest.raises(TypeError, match="theorem_trace needs a RaySpec"):
+        theorem_trace(ray.letters(2), T, g1.index("s0"), g1.index("t0"), horizon=2)
+
+
+def test_stabilize_rejects_a_zero_horizon(g1):
+    ray = make_ray(g1.matrix, (), g1.word("t0,s0"), horizon=2)
+    with pytest.raises(ValueError, match="horizon must be >= 1"):
+        stabilize(g1.subset("t0,t1"), ray, horizon=0)
 
 
 def test_stabilize_stream_checks_reducedness(a2):

@@ -15,3 +15,13 @@ def test_readme_python_tour_runs():
     report = namespace["report"]
     assert namespace["g1"].spell(report.x_limit) == ["t1"]
     assert report.stabilization.certified
+
+
+def test_readme_enumerate_example_matches_the_cli(capsys):
+    from coxkit.cli import run_command
+
+    shown = re.search(r"^coxkit enumerate --system A2 --radius 3 .*\n((?:# .*\n)+)",
+                      README.read_text(), re.M)
+    assert shown, "README shows no output for the A2 enumerate example"
+    assert run_command(["enumerate", "--system", "A2", "--radius", "3"]) == 0
+    assert capsys.readouterr().out == "".join(line[2:] for line in shown.group(1).splitlines(True))
