@@ -8,9 +8,10 @@ m(s,t) >= 3; m = 2 means no edge) matches the finite catalogue:
 
 Matching is exact integer work on the diagram: any infinite edge label,
 any cycle, two branch vertices, a branch vertex of degree >= 4, or a
-label pattern outside the catalogue makes the component infinite.  Group
-orders come from the standard closed forms and are unit-tested against
-explicit enumeration.
+label pattern outside the catalogue makes the component infinite.  From
+the degrees d_i of a component (Humphreys, *Reflection Groups and Coxeter
+Groups*, §3.7), |W| = prod d_i and l(w0) = sum (d_i - 1), both
+unit-tested against explicit enumeration.
 
 Spherical subsets are closed under taking subsets, so enumeration grows
 them one generator at a time from spherical sets only: it costs about
@@ -39,22 +40,21 @@ class TypeLabel:
     def finite(self) -> bool:
         return self.family != "Infinite"
 
+    def degrees(self) -> tuple[int, ...]:
+        """Degrees of the basic polynomial invariants of a finite component."""
+        k = self.rank
+        return {
+            "A": tuple(range(2, k + 2)),
+            "B": tuple(range(2, 2 * k + 1, 2)),
+            "D": (*range(2, 2 * k - 1, 2), k),
+            "I2": (2, self.edge),
+            "E": {6: (2, 5, 6, 8, 9, 12), 7: (2, 6, 8, 10, 12, 14, 18), 8: (2, 8, 12, 14, 18, 20, 24, 30)}.get(k),
+            "F": (2, 6, 8, 12),
+            "H": {3: (2, 6, 10), 4: (2, 12, 20, 30)}.get(k),
+        }[self.family]
+
     def order(self) -> int | float:
-        if self.family == "A":
-            return math.factorial(self.rank + 1)
-        if self.family == "B":
-            return (2 ** self.rank) * math.factorial(self.rank)
-        if self.family == "D":
-            return (2 ** (self.rank - 1)) * math.factorial(self.rank)
-        if self.family == "I2":
-            return 2 * self.edge
-        if self.family == "E":
-            return {6: 51840, 7: 2903040, 8: 696729600}[self.rank]
-        if self.family == "F":
-            return 1152
-        if self.family == "H":
-            return {3: 120, 4: 14400}[self.rank]
-        return INF
+        return math.prod(self.degrees()) if self.finite else INF
 
     def __str__(self) -> str:
         if self.family == "Infinite":
@@ -72,6 +72,7 @@ class SphericalVerdict:
     spherical: bool
     components: tuple[tuple[frozenset[int], TypeLabel], ...]
     order: int | float
+    longest: int | float        # l(w0(T)), the number of reflections of W_T
 
 
 def _components(matrix: CoxeterMatrix, members: frozenset[int]) -> list[list[int]]:
@@ -166,22 +167,15 @@ def _classify_component(matrix: CoxeterMatrix, nodes: list[int]) -> TypeLabel:
 
 @lru_cache(maxsize=1 << 14)
 def _classify_cached(matrix: CoxeterMatrix, members: frozenset[int]) -> SphericalVerdict:
-    comps = _components(matrix, members)
-    labelled = tuple(
-        (frozenset(comp), _classify_component(matrix, comp)) for comp in comps
-    )
-    spherical = all(label.finite for _, label in labelled)
-    if spherical:
-        order = 1
-        for _, label in labelled:
-            order *= label.order()
-    else:
-        order = INF
-    return SphericalVerdict(spherical, labelled, order)
+    labelled = tuple((frozenset(c), _classify_component(matrix, c)) for c in _components(matrix, members))
+    if not all(label.finite for _, label in labelled):
+        return SphericalVerdict(False, labelled, INF, INF)
+    degrees = [d for _, label in labelled for d in label.degrees()]
+    return SphericalVerdict(True, labelled, math.prod(degrees), sum(d - 1 for d in degrees))
 
 
 def classify(matrix: CoxeterMatrix, members) -> SphericalVerdict:
-    """Component decomposition, catalogue labels and group order of W_T."""
+    """Component decomposition, catalogue labels, group order and l(w0) of W_T."""
     T = frozenset(members)
     matrix.pack(T)
     return _classify_cached(matrix, T)

@@ -1,9 +1,8 @@
 """Brute-force ground truth: BFS enumeration of Cayley-graph balls.
 
 The oracle builds the ball of radius L level by level, multiplying by one
-generator at a time.  The Cayley BFS and its labels never call the
-braid-saturation reducer, so the two code paths cross-validate each other;
-the coset functions enumerate W_T by BFS but multiply with the reducer.
+generator at a time; cosets W_T.w are read off the ball too.  Nothing here
+calls the braid-saturation reducer, so the two paths cross-validate.
 
 Down-edges come from the dihedral-polygon rule.  For generators s, t
 with m = m(s,t) finite, every left coset w<s,t> appears in the
@@ -28,12 +27,11 @@ order too.  Vertex ids thus run in (length, word) order.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 from .errors import NonSphericalSubset, NonUniqueMaximum, SizeBudgetExceeded
 from .finite_type import classify
 from .matrix import INF, CoxeterMatrix
-from .words import Element, multiply
+from .words import Element
 
 DEFAULT_SIZE_BUDGET = 200_000
 
@@ -47,7 +45,9 @@ def _bfs(matrix: CoxeterMatrix, radius: int | None, max_elements: int):
     explored (beyond the radius).
     """
     n = matrix.n
-    orders = matrix.orders
+    # The dihedral polygons through an s-edge: every t != s with m(s, t) finite.
+    partners = [[(t, m) for t, m in enumerate(row) if t != s and m != INF]
+                for s, row in enumerate(matrix.orders)]
     words = [b""]
     edges = [[-1] * n]
     lo, hi = 0, 1
@@ -65,10 +65,7 @@ def _bfs(matrix: CoxeterMatrix, radius: int | None, max_elements: int):
                 words.append(words[v] + bytes((s,)))
                 edges.append([-1] * n)
                 slots = [(v, s)]
-                for t in range(n):
-                    if t == s or orders[s][t] == INF:
-                        continue
-                    m = orders[s][t]
+                for t, m in partners[s]:
                     # Walk m-1 steps down the polygon side through v,
                     # labels alternating t, s, t, ...
                     cur, lab = v, t
@@ -124,10 +121,13 @@ class Ball:
     def __contains__(self, element: Element) -> bool:
         return self._owns(element) and bytes(element.letters) in self._index
 
+    def __iter__(self):
+        """Ball members in (length, word) order."""
+        return (Element(self.matrix, tuple(w)) for w in self._words)
+
     @property
     def elements(self) -> list[Element]:
-        """Ball members in (length, word) order."""
-        return [Element(self.matrix, tuple(w)) for w in self._words]
+        return list(self)
 
     def level_sizes(self) -> tuple[int, ...]:
         counts = [0] * (len(self._words[-1]) + 1)
@@ -172,6 +172,30 @@ class Ball:
             if v < 0:
                 raise ValueError(f"word of length {len(word)} leaves ball({self.radius})")
         return Element(self.matrix, tuple(self._words[v]))
+
+    def coset(self, members, w: Element) -> list[Element]:
+        """The coset W_T.w in (length, word) order, from the adjacency alone.
+
+        W_T is the component of the identity along T-edges, and each x.w is
+        walked from x along the letters of w.  Unless the ball holds the
+        whole group, it must reach l(w) + l(w0(T)), the longest x.w can be.
+        """
+        T = frozenset(members)
+        verdict = _spherical(self.matrix, T)
+        need = self.depth_of(w) + verdict.longest
+        if not self.closed and self.radius < need:
+            raise ValueError(f"W_{sorted(T)}.{w!r} needs ball({need}), not ball({self.radius})")
+        group, level = {0}, {0}
+        while level:
+            level = {self._edges[v][t] for v in level for t in T} - group
+            group |= level
+        if len(group) != verdict.order:
+            raise RuntimeError(f"W_{sorted(T)} has {len(group)} elements, not {verdict.order}; this signals a defect")
+        ends = list(group)
+        for s in w.letters:
+            ends = [self._edges[v][s] for v in ends]
+        # Vertex ids run in (length, word) order.
+        return [Element(self.matrix, tuple(self._words[v])) for v in sorted(ends)]
 
     def to_dot(self, names=None) -> str:
         """Cayley graph in DOT form, one undirected edge per generator pair."""
@@ -218,29 +242,16 @@ def full_group(matrix: CoxeterMatrix, max_elements: int = DEFAULT_SIZE_BUDGET) -
     return _build(matrix, None, max_elements)
 
 
-@lru_cache(maxsize=1 << 12)
-def _parabolic_elements(matrix: CoxeterMatrix, members: frozenset[int]) -> tuple[Element, ...]:
-    """Every element of W_T, as elements of the ambient system."""
-    verdict = classify(matrix, members)
-    if not verdict.spherical:
+def _spherical(matrix: CoxeterMatrix, members: frozenset[int]):
+    if not (verdict := classify(matrix, members)).spherical:
         raise NonSphericalSubset(members)
-    sub = matrix.submatrix(members)
-    back = sorted(members)
-    group = full_group(sub, max_elements=verdict.order + 1)
-    # back is increasing, so relabelling keeps the (length, word) order.
-    out = tuple(
-        Element(matrix, tuple(back[c] for c in w))
-        for w in group._words
-    )
-    if len(out) != verdict.order:
-        raise RuntimeError(f"W_{sorted(members)} has {len(out)} elements, not {verdict.order}; this signals a defect")
-    return out
+    return verdict
 
 
 def coset_elements(members, w: Element) -> list[Element]:
-    """The full coset W_T.w, in (length, word) order."""
-    xs = _parabolic_elements(w.matrix, frozenset(members))
-    return sorted((multiply(x, w) for x in xs), key=Element.sort_key)
+    """The full coset W_T.w, in (length, word) order, from ball(l(w) + l(w0(T)))."""
+    T = frozenset(members)
+    return ball(w.matrix, w.length + _spherical(w.matrix, T).longest).coset(T, w)
 
 
 def unique_top(members, w: Element, coset: list[Element]) -> Element:

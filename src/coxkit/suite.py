@@ -17,10 +17,10 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from functools import cache
-from itertools import product
+from itertools import product, takewhile
 
 from . import cosets, oracle
-from .finite_type import is_spherical, spherical_subsets
+from .finite_type import classify, is_spherical, spherical_subsets
 from .matrix import INF
 from .systems import SystemConfig
 from .words import Element, inverse, left_descents, multiply, reduce_word, right_descents
@@ -93,10 +93,12 @@ def lemma_suite(config: SystemConfig, radius: int) -> SuiteReport:
         raise ValueError("radius must be >= 0")
     matrix = config.matrix
     name = config.label or ",".join(config.names)
-    big = oracle.ball(matrix, radius + 1)
-    inner = [e for e in big.elements if e.length <= radius]
-    word_cap = min(radius, WORD_SWEEP_CAP)
     family = spherical_subsets(matrix)
+    # One ball for every check: inner edges and each coset W_T.w of coset_longest.
+    longest = max(classify(matrix, T).longest for T in family)
+    big = oracle.ball(matrix, max(radius + 1, min(radius, COSET_RADIUS_CAP) + longest))
+    inner = list(takewhile(lambda e: e.length <= radius, big))
+    word_cap = min(radius, WORD_SWEEP_CAP)
 
     def canonical_form():
         for word in _all_words(matrix.n, word_cap):
@@ -179,7 +181,7 @@ def lemma_suite(config: SystemConfig, radius: int) -> SuiteReport:
             verdicts: dict[Element, tuple[Element | None, list[Element]]] = {}
             for w in small:
                 if w not in verdicts:
-                    coset = oracle.coset_elements(T, w)
+                    coset = big.coset(T, w)
                     try:
                         top = oracle.unique_top(T, w, coset)
                     except oracle.NonUniqueMaximum:
@@ -238,18 +240,11 @@ def lemma_suite(config: SystemConfig, radius: int) -> SuiteReport:
                     yield [] if ok else [f"conclusion fails at w={_spell(config, e)}, s0={config.names[s0]}"]
 
     def descent_class_partition():
+        # The oracle names the class of e; the reducer must put e in it alone.
         for e in inner:
-            T = right_descents(e)
-            bad = []
-            if not cosets.in_WT_class(e, T):
-                bad.append(f"element {_spell(config, e)} not in its own class")
-            others = sum(
-                1 for U in family
-                if U != T and cosets.in_WT_class(e, U)
-            )
-            if others:
-                bad.append(f"element {_spell(config, e)} in {others + 1} classes")
-            yield bad
+            T = sorted(big.right_descents_of(e))
+            classes = [sorted(U) for U in family if cosets.in_WT_class(e, U)]
+            yield [] if classes == [T] else [f"element {_spell(config, e)} in classes {classes}, oracle class {T}"]
 
     checks: list[CheckResult] = []
     for check in (

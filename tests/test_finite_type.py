@@ -146,6 +146,38 @@ def test_orders_match_enumeration_up_to_200(a3, b3, h3, g1, i27):
             assert len(group) == verdict.order, (cfg.label, sorted(T))
 
 
+def _diagram(n, edges):
+    table = [[1 if i == j else 2 for j in range(n)] for i in range(n)]
+    for i, j, m in edges:
+        table[i][j] = table[j][i] = m
+    return validate_matrix(table)
+
+
+def _chain(*orders):
+    return _diagram(len(orders) + 1, [(i, i + 1, m) for i, m in enumerate(orders)])
+
+
+CATALOGUE = (
+    [(f"A{k}", _chain(*[3] * (k - 1))) for k in range(1, 7)]
+    + [(f"B{k}", _chain(*[3] * (k - 2), 4)) for k in range(2, 6)]
+    + [(f"D{k}", _diagram(k, [(i, i + 1, 3) for i in range(k - 2)] + [(k - 3, k - 1, 3)]))
+       for k in (4, 5)]
+    + [("E6", _diagram(6, [(0, 1, 3), (1, 2, 3), (2, 3, 3), (3, 4, 3), (2, 5, 3)])),
+       ("F4", _chain(3, 4, 3)), ("H3", _chain(5, 3)), ("H4", _chain(5, 3, 3))]
+    + [(f"I2({m})", _chain(m)) for m in range(5, 9)]
+)
+
+
+@pytest.mark.parametrize("label, matrix", CATALOGUE, ids=[label for label, _ in CATALOGUE])
+def test_degree_table_matches_enumeration(label, matrix):
+    # Order = product of the degrees, l(w0) = sum of (degree - 1).
+    verdict = classify(matrix, range(matrix.n))
+    assert _labels(verdict) == [label]
+    group = full_group(matrix)
+    assert verdict.order == len(group)
+    assert verdict.longest == group.elements[-1].length
+
+
 def test_nonspherical_balls_keep_growing(ta2, dinf, g1):
     from coxkit import ball
 

@@ -133,17 +133,18 @@ def test_ball_rejects_elements_of_another_system(a2, g1):
 
 
 def test_parabolic_elements_checks_the_catalogue_order(a2, monkeypatch):
+    # W_T, read off the ball as the identity's component along T-edges,
+    # must have the catalogue order.
     classify = oracle.classify
     monkeypatch.setattr(
         oracle, "classify",
         lambda *args: replace(classify(*args), order=classify(*args).order + 1),
     )
-    oracle._parabolic_elements.cache_clear()
-    try:
-        with pytest.raises(RuntimeError, match="signals a defect"):
-            coset_elements({0, 1}, Element.identity(a2.matrix))
-    finally:
-        oracle._parabolic_elements.cache_clear()
+    e = Element.identity(a2.matrix)
+    with pytest.raises(RuntimeError, match=r"W_\[0, 1\] has 6 elements, not 7; this signals a defect"):
+        full_group(a2.matrix).coset({0, 1}, e)
+    with pytest.raises(RuntimeError, match="signals a defect"):
+        coset_elements({0, 1}, e)
 
 
 def test_size_budget(a3):
@@ -197,6 +198,52 @@ def test_coset_elements_distinct_and_sized(b3, g1):
                 coset = coset_elements(T, w)
                 assert len(coset) == order
                 assert len(set(coset)) == order
+
+
+def test_cosets_never_call_the_reducer(b3, g1, monkeypatch):
+    from coxkit import maximal_spherical_subsets, words
+
+    cases = []
+    for cfg in (b3, g1):
+        b = ball(cfg.matrix, 12)
+        for T in maximal_spherical_subsets(cfg.matrix):
+            for w in b.elements:
+                if w.length <= 2:
+                    cases.append((b, T, w, coset_elements(T, w), longest_in_coset_oracle(T, w)))
+
+    def no_reducer(*args):
+        raise AssertionError("the oracle called the reducer")
+
+    monkeypatch.setattr(words, "_reduce_bytes", no_reducer)
+    for b, T, w, coset, top in cases:
+        assert b.coset(T, w) == coset
+        assert coset_elements(T, w) == coset
+        assert longest_in_coset_oracle(T, w) == top == coset[-1]
+
+
+def test_ball_coset_needs_the_longest_coset_member_inside(a2, g1):
+    w = reduce_word(g1.matrix, g1.word("s0"))
+    T = g1.subset("s0,t1")  # A2: l(w0) = 3, so W_T.s0 reaches length 4
+    with pytest.raises(ValueError, match=r"needs ball\(4\), not ball\(3\)"):
+        ball(g1.matrix, 3).coset(T, w)
+    assert ball(g1.matrix, 4).coset(T, w) == coset_elements(T, w)
+    with pytest.raises(NonSphericalSubset):
+        ball(g1.matrix, 4).coset(g1.subset("s0,t0"), w)
+    # A closed ball holds every coset, however long w is.
+    group = full_group(a2.matrix)
+    aba = group.elements[-1]
+    assert group.coset({0}, aba) == [Element(a2.matrix, (1, 0)), aba]
+
+
+def test_e6_coset_of_the_whole_group():
+    # E6: the chain 0-1-2-3-4 with 5 attached to the middle node.
+    table = [[1 if i == j else 2 for j in range(6)] for i in range(6)]
+    for i, j in ((0, 1), (1, 2), (2, 3), (3, 4), (2, 5)):
+        table[i][j] = table[j][i] = 3
+    matrix = validate_matrix(table)
+    coset = coset_elements(range(6), Element.identity(matrix))
+    assert len(set(coset)) == len(coset) == 51_840
+    assert coset[-1].length == 36
 
 
 def test_coset_rejects_nonspherical(g1):

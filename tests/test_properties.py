@@ -5,7 +5,17 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from coxkit import INF, ball, reduce_word, validate_matrix  # noqa: E402
+from coxkit import (  # noqa: E402
+    INF,
+    Element,
+    ball,
+    classify,
+    full_group,
+    multiply,
+    reduce_word,
+    spherical_subsets,
+    validate_matrix,
+)
 
 
 @st.composite
@@ -65,3 +75,35 @@ def test_discovery_labels_match_down_edge_dp(matrix, radius):
     words = list(b._words)
     assert words == _down_edge_labels(b)
     assert words == sorted(words, key=lambda w: (len(w), w))
+
+
+def _multiplied_coset(members, w):
+    """Reference coset: W_T enumerated on its own submatrix, relabelled into
+    the ambient system, and each x.w formed by the reducer."""
+    back = sorted(members)
+    group = full_group(w.matrix.submatrix(frozenset(members)))
+    xs = [Element(w.matrix, tuple(back[c] for c in x.letters)) for x in group.elements]
+    return sorted((multiply(x, w) for x in xs), key=Element.sort_key)
+
+
+@st.composite
+def cosets(draw):
+    n = draw(st.integers(1, 4))
+    table = [[1] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            table[i][j] = table[j][i] = draw(st.sampled_from([2, 3, 4, 5, 6, INF]))
+    matrix = validate_matrix(table)
+    # l(w0(T)) <= 6 keeps ball(l(w) + l(w0(T))) of a rank-4 system small.
+    family = [T for T in spherical_subsets(matrix) if classify(matrix, T).longest <= 6]
+    members = draw(st.sampled_from(family[::-1]))  # largest T first
+    w = reduce_word(matrix, draw(st.lists(st.integers(0, n - 1), max_size=3)))
+    return members, w
+
+
+@settings(derandomize=True, deadline=None)
+@given(cosets())
+def test_ball_coset_matches_the_multiplied_coset(case):
+    members, w = case
+    b = ball(w.matrix, w.length + classify(w.matrix, members).longest)
+    assert b.coset(members, w) == _multiplied_coset(members, w)

@@ -25,3 +25,12 @@ def test_readme_enumerate_example_matches_the_cli(capsys):
     assert shown, "README shows no output for the A2 enumerate example"
     assert run_command(["enumerate", "--system", "A2", "--radius", "3"]) == 0
     assert capsys.readouterr().out == "".join(line[2:] for line in shown.group(1).splitlines(True))
+
+
+def test_readme_spherical_example_matches_the_cli(capsys):
+    from coxkit.cli import run_command
+
+    shown = re.search(r"^coxkit spherical --system G1 --subset t0,t1\n# (.*)\n", README.read_text(), re.M)
+    assert shown, "README shows no output for the G1 spherical example"
+    assert run_command(["spherical", "--system", "G1", "--subset", "t0,t1"]) == 0
+    assert capsys.readouterr().out == shown.group(1) + "\n"

@@ -71,13 +71,13 @@ def test_instance_counts_pinned(name, radius, instances):
 
 def test_each_coset_is_enumerated_once(monkeypatch):
     calls = []
-    real = oracle.coset_elements
+    real = oracle.Ball.coset
 
-    def counted(members, w):
+    def counted(self, members, w):
         calls.append((frozenset(members), w))
-        return real(members, w)
+        return real(self, members, w)
 
-    monkeypatch.setattr(oracle, "coset_elements", counted)
+    monkeypatch.setattr(oracle.Ball, "coset", counted)
     report = lemma_suite(preset("A2"), radius=3)
     assert report.ok
     # A2 has 6 elements: 6, 3, 3 and 1 cosets for T = {}, {a}, {b}, {a, b}.
@@ -108,6 +108,27 @@ def test_wrong_descents_fail_every_w_of_the_coset(monkeypatch):
     ]
     assert failures["inverse_involution"] == ["descent duality fails at a.b.a"]
     assert sorted(failures) == ["coset_longest", "inverse_involution"]
+
+
+def test_fake_right_descents_fail_the_class_partition(monkeypatch):
+    # The reducer claims s0.t0 descends by both s0 and t0 (m = inf, so not
+    # spherical).  The oracle's descent set {t0} names the class that
+    # descent_class_partition must find s0.t0 in, and the reducer misses it.
+    g1 = preset("G1")
+    s0t0 = Element(g1.matrix, g1.word("s0,t0"))
+    real = suite.right_descents
+    fake = lambda u: frozenset(g1.subset("s0,t0")) if u == s0t0 else real(u)
+    monkeypatch.setattr(suite, "right_descents", fake)
+    monkeypatch.setattr(cosets, "right_descents", fake)
+    report = lemma_suite(g1, radius=3)
+    failures = {c.name: c.failures for c in report.checks if c.failures}
+    assert failures == {
+        "inverse_involution": ["descent duality fails at s0.t0"],
+        "descent_spherical": ["non-spherical descent set at s0.t0"],
+        "descent_agreement": ["descents disagree with oracle at s0.t0"],
+        "descent_step_lemma": ["conclusion fails at w=s0, s0=t0"],
+        "descent_class_partition": ["element s0.t0 in classes [], oracle class [1]"],
+    }
 
 
 def test_infinite_systems_radius_4_all_pass():
