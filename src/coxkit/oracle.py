@@ -11,8 +11,10 @@ minimal coset representative and whose two geodesic sides meet again at
 the top.  An element with two descents s and t is necessarily the top of
 such a polygon (no dihedral element short of the longest has two
 descents, and two descents force m(s,t) finite), so a new vertex v.s
-finds its down-edge through t by walking m-1 steps down one side of the
-polygon and m-1 steps up the other.  Every down-edge is set when its
+finds its down-edge through t from v.s.t = v.(t.s)^(m-1): 2m-2 steps from
+v labelled t, s, t, ..., m-1 down one side of the polygon and m-1 up the
+other.  The walk stops at the first step that fails to descend, so it is
+bounded by the ball whatever m is.  Every down-edge is set when its
 vertex is created, so an edge still unset at the frontier leads to a new
 vertex one level up: each edge changes BFS depth by exactly one.
 
@@ -51,13 +53,12 @@ def _bfs(matrix: CoxeterMatrix, radius: int | None, max_elements: int):
     words = [b""]
     edges = [[-1] * n]
     lo, hi = 0, 1
-    k = 0
-    while lo < hi and (radius is None or k < radius):
+    while lo < hi and (radius is None or len(words[lo]) < radius):
         for v in range(lo, hi):
             for s in range(n):
                 if edges[v][s] != -1:
                     continue
-                # Unset frontier edge: v.s is a new vertex at depth k+1, and
+                # Unset frontier edge: v.s is a new vertex one level up, and
                 # (v, s) its ShortLex-least down-edge.
                 if len(words) >= max_elements:
                     raise SizeBudgetExceeded(max_elements)
@@ -66,34 +67,25 @@ def _bfs(matrix: CoxeterMatrix, radius: int | None, max_elements: int):
                 edges.append([-1] * n)
                 slots = [(v, s)]
                 for t, m in partners[s]:
-                    # Walk m-1 steps down the polygon side through v,
-                    # labels alternating t, s, t, ...
-                    cur, lab = v, t
-                    for _ in range(m - 1):
-                        nxt = edges[cur][lab]
-                        if nxt < 0 or len(words[nxt]) != len(words[cur]) - 1:
-                            cur = -1
+                    # v.s.t = v.(t.s)^(m-1): walk 2m-2 steps labelled t, s, t, ...
+                    # The first m-1 descend unless v.s is no polygon top; the
+                    # rest climb the other side to the down-neighbour v.s.t.
+                    cur = v
+                    for i in range(2 * m - 2):
+                        nxt = edges[cur][s if i % 2 else t]
+                        if i < m - 1 and (nxt < 0 or len(words[nxt]) != len(words[cur]) - 1):
                             break
-                        cur = nxt
-                        lab = s if lab == t else t
-                    if cur < 0:
-                        continue
-                    # cur is the coset bottom; climb the other side, whose
-                    # labels alternate and end with s.
-                    up = cur
-                    for j in range(m - 1):
-                        lab2 = s if (m - 2 - j) % 2 == 0 else t
-                        up = edges[up][lab2]
-                        if up < 0:
+                        if nxt < 0:
                             raise RuntimeError("polygon side missing below the frontier; this signals a defect")
-                    slots.append((up, t))
+                        cur = nxt
+                    else:
+                        slots.append((cur, t))
                 for x, r in slots:
                     if edges[x][r] != -1:
                         raise RuntimeError("conflicting Cayley edges; this signals a defect")
                     edges[x][r] = target
                     edges[target][r] = x
         lo, hi = hi, len(words)
-        k += 1
     # Down-edges are always set at vertex creation, so an unresolved slot
     # can only lead out of the ball: the group closed inside it iff none.
     closed = all(e != -1 for row in edges for e in row)

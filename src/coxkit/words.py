@@ -3,15 +3,17 @@
 A word is a finite sequence of generator indices.  Reduction works on the
 braid-move closure of a word: replace any alternating factor stst... of
 length m(s,t) by tsts... of the same length, in every possible position,
-until the closure is saturated.  Whenever a word with two equal adjacent
-letters appears, that pair is deleted and the process restarts from the
-shorter word.  A rewrite swaps one alternating factor for another, so in
-a word with no equal pair a new pair can only straddle an end of the new
-factor (Tits' solution of the word problem): only those two spots are
-tested.  When no word in the closure admits a deletion, every word
-in it is a reduced expression of the element, and the lexicographically
-least one (equivalently ShortLex-least, all lengths being equal) is the
-canonical form.
+until the closure is saturated.  A rewrite keeps the length, so only the
+moves with m(s,t) at most twice the word's length are built: a huge m
+costs nothing.  Whenever a word with two equal adjacent letters appears,
+that pair is deleted and the process restarts from the shorter word.  A
+rewrite swaps one alternating factor for another, so in a word with no
+equal pair a new pair can only straddle an end of the new factor (Tits'
+solution of the word problem): only those two spots are tested.  When no
+word in the closure admits a deletion, every word in it is a reduced
+expression of the element, and the lexicographically least one
+(equivalently ShortLex-least, all lengths being equal) is the canonical
+form.
 
 Descent sets come from the same final closure.  By Tits' word property
 (Bjorner-Brenti, *Combinatorics of Coxeter Groups*, Thm 3.3.1) the braid
@@ -36,7 +38,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import ClosureBudgetExceeded
-from .matrix import INF, CoxeterMatrix
+from .matrix import CoxeterMatrix
 
 CLOSURE_BUDGET = 200_000
 
@@ -50,13 +52,13 @@ _EQUAL_PAIR = re.compile(rb"(.)\1", re.DOTALL)
 
 
 @lru_cache(maxsize=256)
-def _moves(matrix: CoxeterMatrix) -> tuple[tuple[bytes, bytes], ...]:
-    """Every braid move of the matrix: an alternating pattern and its rewrite."""
+def _moves(matrix: CoxeterMatrix, length: int) -> tuple[tuple[bytes, bytes], ...]:
+    """Every braid move that fits in ``length`` letters: m(s, t) <= length, never INF."""
     moves = []
     for s in range(matrix.n):
         for t in range(matrix.n):
             m = matrix.m(s, t)
-            if s != t and m != INF:
+            if s != t and m <= length:
                 moves.append((_alternating(s, t, m), _alternating(t, s, m)))
     return tuple(moves)
 
@@ -98,7 +100,9 @@ def _reduce_bytes(matrix: CoxeterMatrix, word: bytes):
     A descent set is stored as the bytes of its sorted letters: empty and
     one-letter bytes are shared objects, so most entries hold no extra set.
     """
-    shorter, closure = _saturate_stage(_moves(matrix), word)
+    # A move longer than the word never matches.  Rounding its length up to
+    # a power of two leaves a matrix a few tables, not one per word length.
+    shorter, closure = _saturate_stage(_moves(matrix, 1 << len(word).bit_length()), word)
     if shorter is None:
         left, right = (bytes(sorted({w[i] for w in closure})) if word else word for i in (0, -1))
         return min(closure), left, right

@@ -70,6 +70,19 @@ def test_validate_config_file(capsys, tmp_path):
     assert payload["generators"] == ["x", "y"]
 
 
+def test_descents_with_a_huge_order(capsys, tmp_path):
+    # m(a, b) = 10**18 never fits in a word, so its move is never built.
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({
+        "generators": ["a", "b", "c"],
+        "orders": [[1, 10**18, 2], [10**18, 1, 3], [2, 3, 1]],
+    }))
+    payload = run_json(capsys, "descents", "--config", str(path), "--word", "")
+    assert payload == {"canonical": [], "left": [], "right": []}
+    payload = run_json(capsys, "reduce", "--config", str(path), "--word", "b,c,b,c,a,b,a")
+    assert payload == {"canonical": ["c", "b", "a", "b", "a"], "length": 5}
+
+
 def test_bad_config_exits_2(capsys, tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({

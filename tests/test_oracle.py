@@ -15,6 +15,7 @@ from coxkit import (
     full_group,
     longest_in_coset_oracle,
     oracle,
+    preset,
     reduce_word,
     validate_matrix,
 )
@@ -65,6 +66,13 @@ def test_infinite_dihedral_two_per_level(dinf):
     b = ball(dinf.matrix, 5)
     assert len(b) == 11
     assert b.level_sizes() == (1, 2, 2, 2, 2, 2)
+
+
+def test_huge_dihedral_order_ball():
+    # The polygon walk stops at its first step that fails to descend, so a
+    # huge m costs no more than the ball: I2(10**18) looks like Dinf here.
+    b = ball(preset("I2(1000000000000000000)").matrix, 6)
+    assert b.level_sizes() == (1, 2, 2, 2, 2, 2, 2)
 
 
 def test_tilde_a2_level_sizes(ta2):

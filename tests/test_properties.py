@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 from coxkit import (  # noqa: E402
     INF,
     Element,
+    SizeBudgetExceeded,
     ball,
     classify,
     full_group,
@@ -19,13 +20,16 @@ from coxkit import (  # noqa: E402
 
 
 @st.composite
-def matrices(draw):
-    n = draw(st.integers(1, 5))
+def matrices(draw, max_n=5, orders=(2, 3, 4, 5, 6, 7, 8, INF)):
+    n = draw(st.integers(1, max_n))
     table = [[1] * n for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
-            table[i][j] = table[j][i] = draw(st.sampled_from([2, 3, 4, 5, 6, 7, 8, INF]))
+            table[i][j] = table[j][i] = draw(st.sampled_from(orders))
     return validate_matrix(table)
+
+
+SMALL_ORDERS = (2, 3, 4, 5, 6, INF)
 
 
 @st.composite
@@ -88,12 +92,8 @@ def _multiplied_coset(members, w):
 
 @st.composite
 def cosets(draw):
-    n = draw(st.integers(1, 4))
-    table = [[1] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            table[i][j] = table[j][i] = draw(st.sampled_from([2, 3, 4, 5, 6, INF]))
-    matrix = validate_matrix(table)
+    matrix = draw(matrices(4, SMALL_ORDERS))
+    n = matrix.n
     # l(w0(T)) <= 6 keeps ball(l(w) + l(w0(T))) of a rank-4 system small.
     family = [T for T in spherical_subsets(matrix) if classify(matrix, T).longest <= 6]
     members = draw(st.sampled_from(family[::-1]))  # largest T first
@@ -107,3 +107,21 @@ def test_ball_coset_matches_the_multiplied_coset(case):
     members, w = case
     b = ball(w.matrix, w.length + classify(w.matrix, members).longest)
     assert b.coset(members, w) == _multiplied_coset(members, w)
+
+
+# The largest finite order of each rank with m <= 6: A1, I2(6), H3 and H4.
+LARGEST_ORDER = {1: 2, 2: 12, 3: 120, 4: 14_400}
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(matrices(4, SMALL_ORDERS))
+def test_classify_matches_the_oracle(matrix):
+    verdict = classify(matrix, range(matrix.n))
+    try:
+        group = full_group(matrix, max_elements=LARGEST_ORDER[matrix.n] + 1)
+    except SizeBudgetExceeded:
+        assert not verdict.spherical
+        return
+    assert verdict.spherical
+    assert verdict.order == len(group)
+    assert verdict.longest == group.elements[-1].length

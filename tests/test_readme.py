@@ -3,6 +3,8 @@
 import re
 from pathlib import Path
 
+import pytest
+
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 
@@ -27,10 +29,15 @@ def test_readme_enumerate_example_matches_the_cli(capsys):
     assert capsys.readouterr().out == "".join(line[2:] for line in shown.group(1).splitlines(True))
 
 
-def test_readme_spherical_example_matches_the_cli(capsys):
+@pytest.mark.parametrize("command", [
+    "spherical --system G1 --subset t0,t1",
+    "longest-coset --system G1 --subset t0,t1 --word s0",
+    "maximal-spherical --system G1",
+], ids=lambda command: command.split()[0])
+def test_readme_spherical_example_matches_the_cli(capsys, command):
     from coxkit.cli import run_command
 
-    shown = re.search(r"^coxkit spherical --system G1 --subset t0,t1\n# (.*)\n", README.read_text(), re.M)
-    assert shown, "README shows no output for the G1 spherical example"
-    assert run_command(["spherical", "--system", "G1", "--subset", "t0,t1"]) == 0
+    shown = re.search(rf"^coxkit {re.escape(command)}\n# (.*)\n", README.read_text(), re.M)
+    assert shown, f"README shows no output for coxkit {command}"
+    assert run_command(command.split()) == 0
     assert capsys.readouterr().out == shown.group(1) + "\n"

@@ -285,10 +285,12 @@ def test_two_end_scan_matches_full_scan(name):
         assert words._saturate_stage(moves, w) == _full_scan_stage(moves, doubles, w), word
 
 
-def test_huge_dihedral_order_reduces():
-    # m(a, b) = 10**7: each move pattern holds 10**7 bytes.  Correctness
-    # only; there is no timing gate.
-    cfg = preset("I2(10000000)")
+@pytest.mark.parametrize("m", [10**7, 10**18])
+def test_huge_dihedral_order_reduces(m):
+    # Only moves up to twice the word's length are built, so no m(a, b)-byte
+    # pattern is ever made.  Correctness only; there is no timing gate.
+    cfg = preset(f"I2({m})")
+    assert right_descents(Element.identity(cfg.matrix)) == frozenset()
     aba = reduce_word(cfg.matrix, cfg.word("a,b,a"))
     assert aba.letters == (0, 1, 0)
     assert right_descents(aba) == left_descents(aba) == {0}
