@@ -14,8 +14,14 @@ Groups*, §3.7), |W| = prod d_i and l(w0) = sum (d_i - 1), both
 unit-tested against explicit enumeration.
 
 Spherical subsets are closed under taking subsets, so enumeration grows
-them one generator at a time from spherical sets only: it costs about
-n x (number of spherical subsets) classifications, not 2^n.
+them one generator at a time from spherical sets only.  Subsets are int
+bitmasks and ``matrix.diagram`` holds each generator's m = inf and m >= 3
+neighbour masks.  For a spherical T and s not in T, T | {s} is spherical
+iff s has no infinite edge into T and the component of s in T | {s},
+found by a mask BFS, is finite.  Enumeration costs about
+n x (number of spherical subsets) such tests and one classification per
+distinct component, not 2^n; maximality is a set lookup of T | {s}.
+Frozensets appear only in the returned lists.
 """
 
 from __future__ import annotations
@@ -185,54 +191,64 @@ def is_spherical(matrix: CoxeterMatrix, members) -> bool:
     return classify(matrix, members).spherical
 
 
-def spherical_subsets(matrix: CoxeterMatrix) -> list[frozenset[int]]:
-    """Every spherical subset, by size, each size in the order of combinations().
+def _members(mask: int) -> list[int]:
+    return [s for s in range(mask.bit_length()) if mask >> s & 1]
+
+
+def _extension_rule(matrix: CoxeterMatrix):
+    """extends(T, s): for a spherical T and s not in T (bitmasks), whether
+    T | {s} is spherical.  Only the component of s in T | {s} can be
+    infinite, so it is found by a mask BFS and classified once per call."""
+    infinite, linked = matrix.diagram
+    finite: dict[int, bool] = {}  # per component
+
+    def extends(T: int, s: int) -> bool:
+        if infinite[s] & T:
+            return False
+        comp = frontier = 1 << s
+        while frontier:
+            v = frontier.bit_length() - 1
+            joined = linked[v] & T & ~comp
+            comp |= joined
+            frontier = (frontier ^ 1 << v) | joined
+        if comp not in finite:
+            finite[comp] = _classify_component(matrix, _members(comp)).finite
+        return finite[comp]
+
+    return extends
+
+
+def _spherical_masks(matrix: CoxeterMatrix) -> list[int]:
+    """Every spherical subset as a bitmask, by size, each size in lex order.
 
     Each spherical U of size r+1 is T | {s} for the spherical T = U - {max U},
     so extending every T of size r only by generators above max(T) reaches
     U exactly once, and in lexicographic order.
     """
-    gens = matrix.generators()
-    infinite = [frozenset(t for t in gens if matrix.is_infinite(s, t)) for s in gens]
-    linked = [frozenset(t for t in gens if matrix.m(s, t) >= 3) for s in gens]
-    finite: dict[frozenset[int], bool] = {}  # per connected component
-
-    def extends(T: frozenset[int], s: int) -> bool:
-        # T is spherical, so only the component of s in T | {s} can be infinite.
-        if not infinite[s].isdisjoint(T):
-            return False
-        comp, frontier = {s}, [s]
-        while frontier:
-            joined = (linked[frontier.pop()] & T) - comp
-            comp |= joined
-            frontier.extend(joined)
-        comp = frozenset(comp)
-        if comp not in finite:
-            finite[comp] = _classify_component(matrix, sorted(comp)).finite
-        return finite[comp]
-
-    family = [frozenset()]
+    extends = _extension_rule(matrix)
+    family = [0]
     level = family
     while level:
-        level = [
-            T | {s}
-            for T in level
-            for s in range(max(T, default=-1) + 1, matrix.n)
-            if extends(T, s)
-        ]
+        level = [T | 1 << s for T in level for s in range(T.bit_length(), matrix.n) if extends(T, s)]
         family.extend(level)
     return family
 
 
+def spherical_subsets(matrix: CoxeterMatrix) -> list[frozenset[int]]:
+    """Every spherical subset, by size, each size in the order of combinations()."""
+    return [frozenset(_members(T)) for T in _spherical_masks(matrix)]
+
+
 def maximal_spherical_subsets(matrix: CoxeterMatrix) -> list[frozenset[int]]:
     """All spherical subsets with no spherical strict superset."""
-    family = spherical_subsets(matrix)
+    family = _spherical_masks(matrix)
     spherical = set(family)
+    bits = [1 << s for s in matrix.generators()]
     out = [
-        T for T in family
-        if not any(T | {s} in spherical for s in matrix.generators() if s not in T)
+        _members(T) for T in family
+        if not any(T | bit in spherical for bit in bits if not T & bit)
     ]
-    return sorted(out, key=sorted)
+    return [frozenset(T) for T in sorted(out)]
 
 
 @dataclass(frozen=True)
@@ -247,16 +263,20 @@ def hypothesis_check(matrix: CoxeterMatrix, members, s0: int) -> HypothesisRepor
     ok requires: T is a maximal spherical subset, m(s0, t) >= 3 for every
     t in T, and m(s0, t0) is infinite for at least one t0 in T (those t0
     are the witnesses).  s0 cannot lie in T since m(s0, s0) = 1.
+
+    The tests run cheapest first: the indices are validated, then the
+    witnesses and the m >= 3 bound are read off ``matrix.diagram``, and
+    only if both hold are T (grown one generator at a time) and then each
+    T | {s} tested with the extension rule of spherical_subsets.
     """
-    T = frozenset(members)
-    matrix.pack((*T, s0))
-    witnesses = tuple(t for t in sorted(T) if matrix.m(s0, t) == INF)
-    # T and s0 are checked, so the extensions of T need no second check.
-    maximal = _classify_cached(matrix, T).spherical and not any(
-        _classify_cached(matrix, T | {s}).spherical for s in matrix.generators() if s not in T
-    )
-    bounded_below = all(matrix.m(s0, t) >= 3 for t in T)
-    return HypothesisReport(
-        ok=maximal and bounded_below and bool(witnesses),
-        witnesses=witnesses,
-    )
+    members = frozenset(members)
+    matrix.pack((*members, s0))
+    infinite, linked = matrix.diagram
+    T = sum(1 << t for t in members)
+    witnesses = tuple(_members(infinite[s0] & T))
+    ok = bool(witnesses) and linked[s0] & T == T
+    if ok:
+        extends = _extension_rule(matrix)
+        spherical = all(extends(T & ((1 << t) - 1), t) for t in _members(T))
+        ok = spherical and not any(extends(T, s) for s in matrix.generators() if not T >> s & 1)
+    return HypothesisReport(ok, witnesses)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import AsymmetricEntry, DiagonalNotOne, OffDiagonalBelowTwo
 
@@ -58,6 +59,15 @@ class CoxeterMatrix:
 
     def generators(self) -> range:
         return range(self.n)
+
+    @cached_property
+    def diagram(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """(infinite, linked): per generator s, the bitmask of the t with
+        m(s, t) = inf and of the t with m(s, t) >= 3.  Not a field, so eq,
+        hash and repr ignore it."""
+        infinite = tuple(sum(1 << t for t, m in enumerate(row) if m == INF) for row in self.orders)
+        linked = tuple(sum(1 << t for t, m in enumerate(row) if m >= 3) for row in self.orders)
+        return infinite, linked
 
     def submatrix(self, members) -> "CoxeterMatrix":
         """The matrix induced on a sorted subset of generators."""

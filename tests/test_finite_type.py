@@ -239,9 +239,10 @@ def test_hypothesis_check_rejects_out_of_range_members(g1, index):
         hypothesis_check(g1.matrix, {g1.index("t1"), index}, g1.index("s0"))
 
 
-def _random_matrix(rng, n):
+def _random_matrix(rng, n, share=None):
     table = [[1 if i == j else 2 for j in range(n)] for i in range(n)]
-    share = rng.random()  # from nearly commuting to nearly complete diagrams
+    if share is None:
+        share = rng.random()  # from nearly commuting to nearly complete diagrams
     for i, j in combinations(range(n), 2):
         if rng.random() < share:
             table[i][j] = table[j][i] = rng.choice([3, 4, 5, 6, 7, "inf"])
@@ -264,10 +265,17 @@ def _subset_scan(matrix):
     return spherical, sorted(maximal, key=sorted)
 
 
-@pytest.mark.parametrize("seed", range(40))
+# Share of m != 2 pairs in the rank-14 cases, the benchmark's largest rank.
+RANK_14_SHARE = {"sparse-14": 0.15, "dense-14": 0.6}
+
+
+@pytest.mark.parametrize("seed", [*range(40), *RANK_14_SHARE])
 def test_enumeration_matches_subset_scan(seed):
     rng = random.Random(f"spherical-enumeration:{seed}")
-    matrix = _random_matrix(rng, rng.randint(0, 10))
+    if seed in RANK_14_SHARE:
+        matrix = _random_matrix(rng, 14, RANK_14_SHARE[seed])
+    else:
+        matrix = _random_matrix(rng, rng.randint(0, 10))
     spherical, maximal = _subset_scan(matrix)
     assert spherical_subsets(matrix) == spherical
     assert maximal_spherical_subsets(matrix) == maximal

@@ -108,3 +108,22 @@ def test_config_rejects_missing_fields():
 def test_preset_rejects_small_dihedral_order():
     with pytest.raises(ValueError, match=r"I2\(m\) needs m >= 3"):
         preset("I2(2)")
+
+
+def test_diagram_leaves_eq_hash_and_repr_alone(g1):
+    fresh = validate_matrix([list(row) for row in g1.matrix.orders])
+    g1.matrix.diagram  # cached on one of the two equal matrices only
+    assert "diagram" in vars(g1.matrix) and "diagram" not in vars(fresh)
+    assert fresh == g1.matrix
+    assert hash(fresh) == hash(g1.matrix)
+    assert repr(fresh) == repr(g1.matrix)
+    # G1: m(s0, t0) = inf, m(s0, t1) = 3, m(t0, t1) = 2.
+    assert fresh.diagram == g1.matrix.diagram == ((0b010, 0b001, 0), (0b110, 0b001, 0b001))
+    assert {fresh: 1}[g1.matrix] == 1
+
+
+def test_diagram_of_the_rank_255_all_infinite_matrix():
+    n = 255
+    matrix = validate_matrix([[1 if i == j else "inf" for j in range(n)] for i in range(n)])
+    others = tuple((1 << n) - 1 - (1 << s) for s in range(n))
+    assert matrix.diagram == (others, others)

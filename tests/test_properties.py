@@ -1,5 +1,7 @@
 """Property-based cross-validation of the reducer against the BFS oracle."""
 
+from itertools import combinations
+
 import pytest
 
 pytest.importorskip("hypothesis")
@@ -12,6 +14,7 @@ from coxkit import (  # noqa: E402
     ball,
     classify,
     full_group,
+    hypothesis_check,
     multiply,
     reduce_word,
     spherical_subsets,
@@ -125,3 +128,20 @@ def test_classify_matches_the_oracle(matrix):
     assert verdict.spherical
     assert verdict.order == len(group)
     assert verdict.longest == group.elements[-1].length
+
+
+@settings(derandomize=True, deadline=None)
+@given(matrices(6, (2, 3, 4, 5, 6, 7, INF)))
+def test_hypothesis_check_matches_its_definition(matrix):
+    # Maximality from a scan of all 2^n subsets, not from one-generator
+    # extensions; witnesses are checked whether or not ok holds.
+    gens = range(matrix.n)
+    subsets = [frozenset(c) for r in range(matrix.n + 1) for c in combinations(gens, r)]
+    spherical = [T for T in subsets if classify(matrix, T).spherical]
+    for T in subsets:
+        maximal = T in spherical and not any(T < U for U in spherical)
+        for s0 in gens:
+            witnesses = tuple(t for t in sorted(T) if matrix.m(s0, t) == INF)
+            bounded_below = all(matrix.m(s0, t) >= 3 for t in T)
+            report = hypothesis_check(matrix, T, s0)
+            assert (report.ok, report.witnesses) == (maximal and bounded_below and bool(witnesses), witnesses)
