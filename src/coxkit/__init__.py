@@ -1,9 +1,10 @@
 """coxkit: an exact desk-scale workbench for Coxeter systems.
 
-Word reduction by braid-move saturation, finite-type recognition of
-generator subsets, breadth-first Cayley enumeration as an independent
-oracle, longest parabolic-coset representatives with incremental
-evolution, and stabilization traces along infinite reduced words.
+Word reduction by braid-move saturation, with an exact root-system
+kernel past a closure cap, finite-type recognition of generator subsets,
+breadth-first Cayley enumeration as an independent oracle, longest
+parabolic-coset representatives with incremental evolution, and
+stabilization traces along infinite reduced words.
 
 All public types are immutable values and all operations are pure
 functions, safe for concurrent use.
@@ -20,7 +21,6 @@ from .cosets import (
 )
 from .errors import (
     AsymmetricEntry,
-    ClosureBudgetExceeded,
     CoxeterError,
     DiagonalNotOne,
     HypothesisFailed,

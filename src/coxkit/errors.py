@@ -32,18 +32,6 @@ class OffDiagonalBelowTwo(MatrixError):
         )
 
 
-class ClosureBudgetExceeded(CoxeterError):
-    """A braid-move closure grew past the fixed word budget."""
-
-    def __init__(self, budget: int, word_length: int):
-        self.budget = budget
-        self.word_length = word_length
-        super().__init__(
-            f"braid-move closure exceeded {budget} words while reducing a "
-            f"word of length {word_length}; shorten the input"
-        )
-
-
 class SizeBudgetExceeded(CoxeterError):
     """A Cayley-graph enumeration grew past the configured element budget."""
 

@@ -1,4 +1,4 @@
-"""Exact word problem for Coxeter systems via braid-move saturation.
+"""Exact word problem for Coxeter systems: braid-move saturation, then roots.
 
 A word is a finite sequence of generator indices.  Reduction works on the
 braid-move closure of a word: replace any alternating factor stst... of
@@ -21,11 +21,13 @@ class of a reduced word is the set of all reduced words of its element,
 so the first letters of that class are exactly the left descents and the
 last letters exactly the right descents.
 
-This is exponential in the worst case but exact, needs no irrational
-arithmetic, and is guarded by a fixed closure budget: each saturation
-stage may enumerate at most ``CLOSURE_BUDGET`` words before raising.
-Results are memoized per (matrix, word) in a bounded cache; the cache is
-a transparent pure-function cache and never changes results.
+Saturation is exponential in the worst case.  A stage whose closure grows
+past ``SATURATION_CAP`` words hands its word to :mod:`coxkit.roots`, which
+reads the same answers (canonical word and both descent sets) off the
+root system in time polynomial in the length.  On the easy words of long
+rays saturation is a C-speed scan, so it runs first.  Results are
+memoized per (matrix, word) in a bounded cache; the cache is a
+transparent pure-function cache and never changes results.
 
 Everything here is immutable and pure, hence safe under concurrent use.
 """
@@ -37,10 +39,9 @@ from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import ClosureBudgetExceeded
 from .matrix import CoxeterMatrix
 
-CLOSURE_BUDGET = 200_000
+SATURATION_CAP = 2_000
 
 
 def _alternating(s: int, t: int, length: int) -> bytes:
@@ -66,8 +67,9 @@ def _moves(matrix: CoxeterMatrix, length: int) -> tuple[tuple[bytes, bytes], ...
 def _saturate_stage(moves, word: bytes):
     """Braid-close ``word``; stop early at the first adjacent equal pair.
 
-    Returns ``(shorter_word, None)`` when a deletion fires, else
-    ``(None, closure)``: every reduced word of the element.
+    Returns ``(shorter_word, None)`` when a deletion fires,
+    ``(None, closure)`` with every reduced word of the element, or
+    ``(None, None)`` once the closure passes ``SATURATION_CAP`` words.
     """
     if pair := _EQUAL_PAIR.search(word):
         return word[:pair.start()] + word[pair.end():], None
@@ -86,8 +88,8 @@ def _saturate_stage(moves, word: bytes):
                         if 0 <= i < len(u) - 1 and u[i] == u[i + 1]:
                             return u[:i] + u[i + 2:], None
                     seen.add(u)
-                    if len(seen) > CLOSURE_BUDGET:
-                        raise ClosureBudgetExceeded(CLOSURE_BUDGET, len(word))
+                    if len(seen) > SATURATION_CAP:
+                        return None, None
                     queue.append(u)
                 start = w.find(pat, start + 1)
     return None, seen
@@ -101,13 +103,21 @@ def _reduce_bytes(matrix: CoxeterMatrix, word: bytes):
     one-letter bytes are shared objects, so most entries hold no extra set.
     """
     # A move longer than the word never matches.  Rounding its length up to
-    # a power of two leaves a matrix a few tables, not one per word length.
-    shorter, closure = _saturate_stage(_moves(matrix, 1 << len(word).bit_length()), word)
-    if shorter is None:
-        left, right = (bytes(sorted({w[i] for w in closure})) if word else word for i in (0, -1))
-        return min(closure), left, right
-    # Shorter stages are shared across many inputs; recurse through the cache.
-    return _reduce_bytes(matrix, shorter)
+    # a power of two leaves a matrix a few tables, not one per word length;
+    # the root kernel reads the orders above that cut as inf.
+    cut = 1 << len(word).bit_length()
+    shorter, closure = _saturate_stage(_moves(matrix, cut), word)
+    if shorter is not None:
+        # Shorter stages are shared across many inputs; recurse through the cache.
+        return _reduce_bytes(matrix, shorter)
+    if closure is None:
+        # Imported on first use: most processes never pass the cap, and each
+        # fresh interpreter would pay for the import.
+        from . import roots
+
+        return roots.reduce(matrix, word, cut)
+    left, right = (bytes(sorted({w[i] for w in closure})) if word else word for i in (0, -1))
+    return min(closure), left, right
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 """The batch front door: dispatch, JSON shape, exit codes, determinism."""
 
+import hashlib
 import json
 
 import pytest
@@ -257,6 +258,23 @@ def test_trace_command(capsys, tmp_path):
     rows = csv_path.read_text().splitlines()
     assert rows[0] == "i,len_w,len_x"
     assert len(rows) == 13
+
+
+TILDE_A2_RAY = ("trace", "--system", "tilde-A2", "--subset", "a,b", "--period", "c,a,c,b")
+
+
+def test_tilde_a2_ray_output_is_pinned(capsys):
+    # Stdout of the braid-saturation-only reducer, which took seconds here.
+    code, out, err = run(capsys, *TILDE_A2_RAY, "--horizon", "34")
+    assert code == 0, err
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == "facfd10ff02f6aef5f1ec0f4ace11f993806a9f28ce6d6cf6a035eb1f8cbca54"
+
+
+def test_tilde_a2_ray_answers_past_the_old_budget(capsys):
+    code, out, err = run(capsys, *TILDE_A2_RAY, "--horizon", "39")
+    assert code == 0, err
+    assert json.loads(out.splitlines()[0])["stabilization"]["certified"]
 
 
 def test_trace_without_membership_args(capsys):

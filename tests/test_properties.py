@@ -1,11 +1,12 @@
 """Property-based cross-validation of the reducer against the BFS oracle."""
 
 from itertools import combinations
+from unittest import mock
 
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from coxkit import (  # noqa: E402
     INF,
@@ -19,7 +20,9 @@ from coxkit import (  # noqa: E402
     reduce_word,
     spherical_subsets,
     validate_matrix,
+    words,
 )
+from coxkit.roots import reduce as root_reduce  # noqa: E402
 
 
 @st.composite
@@ -47,6 +50,35 @@ def matrix_and_word(draw):
 def test_reduce_matches_oracle_on_random_matrices(case):
     matrix, word = case
     assert reduce_word(matrix, word) == ball(matrix, len(word)).resolve(word)
+
+
+@st.composite
+def root_cases(draw):
+    matrix = draw(matrices(4, SMALL_ORDERS))
+    word = draw(st.lists(st.integers(0, matrix.n - 1), max_size=7))
+    return matrix, bytes(word)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(root_cases())
+@example((validate_matrix([[1, 10**18], [10**18, 1]]), bytes((0, 1) * 3 + (0,))))
+@example((validate_matrix([[1, 10**18], [10**18, 1]]), bytes((1, 0, 1, 1, 0))))
+def test_root_kernel_matches_oracle(case):
+    # The canonical word and both descent sets from the roots, called
+    # directly and through the reducer with the saturation cap at 1.
+    matrix, word = case
+    b = ball(matrix, len(word) + 1)
+    u = b.resolve(word)
+    left = b.right_descents_of(b.resolve(u.letters[::-1]))
+    expected = (u.letters, left, b.right_descents_of(u))
+    canonical, left, right = root_reduce(matrix, word, 1 << len(word).bit_length())
+    assert (tuple(canonical), set(left), set(right)) == expected
+    words._reduce_bytes.cache_clear()
+    try:
+        with mock.patch.object(words, "SATURATION_CAP", 1):
+            assert words._reduce_bytes(matrix, word) == (canonical, left, right)
+    finally:
+        words._reduce_bytes.cache_clear()
 
 
 def _down_edge_labels(b):

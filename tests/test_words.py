@@ -7,9 +7,9 @@ import pytest
 
 from coxkit import (
     INF,
-    ClosureBudgetExceeded,
     Element,
     ball,
+    full_group,
     in_parabolic,
     inverse,
     is_reduced,
@@ -147,21 +147,35 @@ def test_in_parabolic_matches_subgroup_enumeration(g1):
             assert in_parabolic(w, T) == (w in subgroup)
 
 
+def _answers(matrix, word):
+    u = reduce_word(matrix, word)
+    return u, left_descents(u), right_descents(u)
+
+
 def test_closure_budget_raises(a3, monkeypatch):
-    # The longest element of A3 has 16 reduced expressions.
-    words._reduce_bytes.cache_clear()
-    monkeypatch.setattr(words, "CLOSURE_BUDGET", 2)
+    # The longest element of A3 has 16 reduced expressions, so a stage
+    # passes a cap of 2 and hands the word to the root kernel, which
+    # answers as the oracle and the default cap do.
     word = a3.word("a,b,a,c,b,a")
-    with pytest.raises(ClosureBudgetExceeded):
-        reduce_word(a3.matrix, word)
+    words._reduce_bytes.cache_clear()
+    expected = _answers(a3.matrix, word)
+    words._reduce_bytes.cache_clear()
+    monkeypatch.setattr(words, "SATURATION_CAP", 2)
+    assert _answers(a3.matrix, word) == expected
+    assert expected[0] == ball(a3.matrix, 6).resolve(word)
+    words._reduce_bytes.cache_clear()
 
 
 def test_budget_error_reports_budget(ta2, monkeypatch):
+    # With the cap at 1 every braid move leaves saturation for the roots.
+    word = ta2.word("a,b,a")
     words._reduce_bytes.cache_clear()
-    monkeypatch.setattr(words, "CLOSURE_BUDGET", 1)
-    with pytest.raises(ClosureBudgetExceeded) as exc:
-        reduce_word(ta2.matrix, ta2.word("a,b,a"))
-    assert exc.value.budget == 1
+    expected = _answers(ta2.matrix, word)
+    words._reduce_bytes.cache_clear()
+    monkeypatch.setattr(words, "SATURATION_CAP", 1)
+    assert _answers(ta2.matrix, word) == expected
+    assert expected[0] == ball(ta2.matrix, 3).resolve(word)
+    words._reduce_bytes.cache_clear()
 
 
 # Exhaustive word sweeps: reduce() as a canonical form.
@@ -295,6 +309,15 @@ def test_huge_dihedral_order_reduces(m):
     assert aba.letters == (0, 1, 0)
     assert right_descents(aba) == left_descents(aba) == {0}
     assert reduce_word(cfg.matrix, cfg.word("b,a,b,b,a")).letters == (1,)
+
+
+def test_reversed_longest_element_of_a5():
+    # Its braid class is far past the saturation cap; the roots answer.
+    matrix = _chain_matrix(5)
+    group = full_group(matrix)
+    assert len(group) == 720
+    w0 = max(group.elements, key=lambda e: e.length)
+    assert reduce_word(matrix, w0.letters[::-1]) == w0
 
 
 def test_inverse_properties_over_ball(b3, g1):
