@@ -35,7 +35,7 @@ class CoxeterMatrix:
     def __hash__(self) -> int:
         return self._hash
 
-    @property
+    @cached_property
     def n(self) -> int:
         return len(self.orders)
 

@@ -24,16 +24,25 @@ order, so the unset edge (v, s) that creates a vertex is its
 ShortLex-least down-edge: the vertex gets label(v).s, the ShortLex-least
 reduced word, without braid moves, and level k+1 is created in ShortLex
 order too.  Vertex ids thus run in (length, word) order.
+
+The adjacency is one flat ``array("i")`` built in place: edge (v, s) sits
+at v * n + s and holds the id of v.s, or -1 for an edge out of the ball,
+and each new vertex appends one row of n slots.  A ball keeps its words,
+a dict from word to id for lookups, and 4n bytes of adjacency per element.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from .errors import NonSphericalSubset, NonUniqueMaximum, SizeBudgetExceeded
 from .finite_type import classify
 from .matrix import INF, CoxeterMatrix
 from .words import Element
+
+if TYPE_CHECKING:
+    from array import array
 
 DEFAULT_SIZE_BUDGET = 200_000
 
@@ -43,53 +52,67 @@ def _bfs(matrix: CoxeterMatrix, radius: int | None, max_elements: int):
 
     Returns (words, edges, closed) where words[v] is the ShortLex-least
     reduced word of vertex v, ids run in (length, word) order, and
-    edges[v][s] is the neighbour vertex id or -1 for an edge never
+    edges[v * n + s] is the neighbour vertex id or -1 for an edge never
     explored (beyond the radius).
     """
+    # Imported on first use: the extension module adds about 0.4 MiB to the
+    # peak RSS of a process that imports coxkit, and most never build a ball.
+    from array import array
+
     n = matrix.n
     # The dihedral polygons through an s-edge: every t != s with m(s, t) finite.
     partners = [[(t, m) for t, m in enumerate(row) if t != s and m != INF]
                 for s, row in enumerate(matrix.orders)]
+    letters = [bytes((s,)) for s in range(n)]
     words = [b""]
-    edges = [[-1] * n]
+    depth = [0]
+    unset = array("i", [-1]) * n
+    edges = array("i", unset)
     lo, hi = 0, 1
-    while lo < hi and (radius is None or len(words[lo]) < radius):
+    while lo < hi and (radius is None or depth[lo] < radius):
         for v in range(lo, hi):
+            row, d = v * n, depth[v]
             for s in range(n):
-                if edges[v][s] != -1:
+                if edges[row + s] != -1:
                     continue
                 # Unset frontier edge: v.s is a new vertex one level up, and
                 # (v, s) its ShortLex-least down-edge.
                 if len(words) >= max_elements:
                     raise SizeBudgetExceeded(max_elements)
                 target = len(words)
-                words.append(words[v] + bytes((s,)))
-                edges.append([-1] * n)
+                words.append(words[v] + letters[s])
+                depth.append(d + 1)
+                edges += unset
                 slots = [(v, s)]
                 for t, m in partners[s]:
                     # v.s.t = v.(t.s)^(m-1): walk 2m-2 steps labelled t, s, t, ...
                     # The first m-1 descend unless v.s is no polygon top; the
                     # rest climb the other side to the down-neighbour v.s.t.
-                    cur = v
-                    for i in range(2 * m - 2):
-                        nxt = edges[cur][s if i % 2 else t]
-                        if i < m - 1 and (nxt < 0 or len(words[nxt]) != len(words[cur]) - 1):
-                            break
-                        if nxt < 0:
+                    # Most walks stop at the first step, so it reads v's row.
+                    cur, low = edges[row + t], d - 1
+                    if cur < 0 or depth[cur] != low:
+                        continue
+                    for i in range(1, 2 * m - 2):
+                        nxt = edges[cur * n + (s if i % 2 else t)]
+                        if i < m - 1:
+                            low -= 1
+                            if nxt < 0 or depth[nxt] != low:
+                                break
+                        elif nxt < 0:
                             raise RuntimeError("polygon side missing below the frontier; this signals a defect")
                         cur = nxt
                     else:
                         slots.append((cur, t))
+                top = target * n
                 for x, r in slots:
-                    if edges[x][r] != -1:
+                    if edges[x * n + r] != -1:
                         raise RuntimeError("conflicting Cayley edges; this signals a defect")
-                    edges[x][r] = target
-                    edges[target][r] = x
+                    edges[x * n + r] = target
+                    edges[top + r] = x
         lo, hi = hi, len(words)
     # Down-edges are always set at vertex creation, so an unresolved slot
     # can only lead out of the ball: the group closed inside it iff none.
-    closed = all(e != -1 for row in edges for e in row)
-    return words, edges, closed
+    return words, edges, -1 not in edges
 
 
 @dataclass(frozen=True)
@@ -99,7 +122,7 @@ class Ball:
     matrix: CoxeterMatrix
     radius: int
     closed: bool                      # true when the whole group fit inside
-    _edges: tuple[tuple[int, ...], ...] = field(repr=False)
+    _edges: array = field(repr=False, hash=False)      # edge (v, s) at v * n + s, -1 past the radius
     _words: tuple[bytes, ...] = field(repr=False)     # in (length, word) order
     _index: dict = field(repr=False, hash=False, compare=False)
 
@@ -141,26 +164,25 @@ class Ball:
     def edge(self, element: Element, s: int) -> Element | None:
         """The neighbour element.s, or None when it falls outside the ball."""
         self.matrix.pack((s,))
-        v = self._edges[self._vertex(element)][s]
+        v = self._edges[self._vertex(element) * self.matrix.n + s]
         if v < 0:
             return None
         return Element(self.matrix, tuple(self._words[v]))
 
     def right_descents_of(self, element: Element) -> frozenset[int]:
         """Descents straight from the adjacency (no reducer involved)."""
+        n = self.matrix.n
         v = self._vertex(element)
         d = len(self._words[v])
-        return frozenset(
-            s for s in range(self.matrix.n)
-            if self._edges[v][s] >= 0 and len(self._words[self._edges[v][s]]) == d - 1
-        )
+        row = self._edges[v * n:(v + 1) * n]
+        return frozenset(s for s, u in enumerate(row) if u >= 0 and len(self._words[u]) == d - 1)
 
     def resolve(self, letters) -> Element:
         """Walk a word edge by edge from the identity to its vertex."""
         word = self.matrix.pack(letters)
-        v = 0
+        n, edges, v = self.matrix.n, self._edges, 0
         for s in word:
-            v = self._edges[v][s]
+            v = edges[v * n + s]
             if v < 0:
                 raise ValueError(f"word of length {len(word)} leaves ball({self.radius})")
         return Element(self.matrix, tuple(self._words[v]))
@@ -173,19 +195,21 @@ class Ball:
         whole group, it must reach l(w) + l(w0(T)), the longest x.w can be.
         """
         T = frozenset(members)
+        # classify range-checks T, ahead of every index into the flat adjacency.
         verdict = _spherical(self.matrix, T)
         need = self.depth_of(w) + verdict.longest
         if not self.closed and self.radius < need:
             raise ValueError(f"W_{sorted(T)}.{w!r} needs ball({need}), not ball({self.radius})")
+        n, edges = self.matrix.n, self._edges
         group, level = {0}, {0}
         while level:
-            level = {self._edges[v][t] for v in level for t in T} - group
+            level = {edges[v * n + t] for v in level for t in T} - group
             group |= level
         if len(group) != verdict.order:
             raise RuntimeError(f"W_{sorted(T)} has {len(group)} elements, not {verdict.order}; this signals a defect")
         ends = list(group)
         for s in w.letters:
-            ends = [self._edges[v][s] for v in ends]
+            ends = [edges[v * n + s] for v in ends]
         # Vertex ids run in (length, word) order.
         return [Element(self.matrix, tuple(self._words[v])) for v in sorted(ends)]
 
@@ -193,14 +217,14 @@ class Ball:
         """Cayley graph in DOT form, one undirected edge per generator pair."""
         spell = names if names is not None else [str(s) for s in range(self.matrix.n)]
         label = lambda w: ".".join(spell[c] for c in w) if w else "e"
+        n = self.matrix.n
         lines = ["graph cayley_ball {"]
         for v, w in enumerate(self._words):
             lines.append(f'  n{v} [label="{label(w)}"];')
-        for v in range(len(self._words)):
-            for s in range(self.matrix.n):
-                u = self._edges[v][s]
-                if u > v:
-                    lines.append(f'  n{v} -- n{u} [label="{spell[s]}"];')
+        for i, u in enumerate(self._edges):
+            v, s = divmod(i, n)
+            if u > v:
+                lines.append(f'  n{v} -- n{u} [label="{spell[s]}"];')
         lines.append("}")
         return "\n".join(lines)
 
@@ -216,7 +240,7 @@ def _build(matrix: CoxeterMatrix, radius: int | None, max_elements: int) -> Ball
         matrix=matrix,
         radius=len(words[-1]) if radius is None else radius,
         closed=closed,
-        _edges=tuple(tuple(row) for row in edges),
+        _edges=edges,
         _words=tuple(words),
         _index={w: v for v, w in enumerate(words)},
     )

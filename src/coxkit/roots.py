@@ -13,14 +13,16 @@ reduced word (Casselman, *Computation in Coxeter groups I*, EJC 9, 2002).
 The right descents are the left descents of the reversed canonical word.
 
 Coefficients are exact in Z[c], c = 2cos(pi/L), where L is the lcm of the
-finite orders other than 2 and 3, and lambda_m = C_{L/m}(c) for the Dickson
-polynomials C_0 = 2, C_1 = x, C_{k+1} = x C_k - C_{k-1}.  A ring element is
-its list of coefficients in the basis 1, c, ..., c^(d-1), d = phi(2L)/2, so
-zero tests are exact.  A sign comes from a dyadic interval for c that the
-minimal polynomial of c certifies (a float only proposes it), narrowed until
-it decides.  With only m in {2, 3, inf} the ring is Z (d = 1) and the
-coefficients are plain ints.  The cost grows with d: each product by an
-irrational lambda is a d x d integer matrix.
+finite orders other than 2 and 3 between letters of the word (the kernel
+runs in the parabolic subgroup those letters generate), and
+lambda_m = C_{L/m}(c) for the Dickson polynomials C_0 = 2, C_1 = x,
+C_{k+1} = x C_k - C_{k-1}.  A ring element is its list of coefficients in
+the basis 1, c, ..., c^(d-1), d = phi(2L)/2, so zero tests are exact.  A
+sign comes from a dyadic interval for c that the minimal polynomial of c
+certifies (a float only proposes it), narrowed until it decides.  With only
+m in {2, 3, inf} the ring is Z (d = 1) and the coefficients are plain ints.
+The cost grows with d: each product by an irrational lambda is a d x d
+integer matrix.
 
 The caller passes a length cut: an order above it counts as inf.  For a word
 shorter than the cut no braid move of such a pair fits in it or in its
@@ -262,7 +264,16 @@ def _columns(ring: _Ring, n: int, word: bytes) -> list[list[int]]:
 
 def reduce(matrix: CoxeterMatrix, word: bytes, cut: int) -> tuple[bytes, bytes, bytes]:
     """(canonical word, left descents, right descents) of the element, as in
-    ``words._reduce_bytes``; orders above ``cut`` count as inf."""
+    ``words._reduce_bytes``; orders above ``cut`` count as inf.
+
+    The work runs in the parabolic subgroup W_J of the letters J of the word:
+    the element lies in W_J, so do its reduced words and its descents, and
+    relabelling J in increasing order keeps ShortLex order.  The ring then
+    comes from the orders within J alone.
+    """
+    letters = bytes(sorted(set(word)))
+    local = bytes(range(len(letters)))
+    matrix, word = matrix.submatrix(letters), word.translate(bytes.maketrans(letters, local))
     ring, n = _ring(matrix, cut), matrix.n
     columns = _columns(ring, n, word)
     signs = [ring.sign(col) for col in columns]
@@ -285,4 +296,5 @@ def reduce(matrix: CoxeterMatrix, word: bytes, cut: int) -> tuple[bytes, bytes, 
     canonical = bytes(canonical)
     columns = _columns(ring, n, canonical[::-1])
     right = bytes(t for t, col in enumerate(columns) if ring.sign(col) < 0)
-    return canonical, left, right
+    back = bytes.maketrans(local, letters)
+    return canonical.translate(back), left.translate(back), right.translate(back)

@@ -118,6 +118,8 @@ def test_ball_rejects_out_of_range_generators(a2, index):
         b.resolve((index,))
     with pytest.raises(ValueError, match=message):
         b.edge(Element.identity(a2.matrix), index)
+    with pytest.raises(ValueError, match=message):
+        b.coset({0, index}, Element.identity(a2.matrix))
 
 
 def test_full_group_raises_when_bfs_leaves_edges_open(a2, monkeypatch):

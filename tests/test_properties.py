@@ -85,7 +85,8 @@ def _down_edge_labels(b):
     """Reference labelling: BFS depths from the adjacency alone, then the
     lex-least label of each vertex is the least label among its
     down-neighbours extended by the connecting letter."""
-    edges = b._edges
+    n = b.matrix.n
+    edges = [b._edges[v * n:(v + 1) * n] for v in range(len(b))]
     depths = [-1] * len(edges)
     depths[0] = 0
     frontier = [0]
@@ -114,6 +115,26 @@ def test_discovery_labels_match_down_edge_dp(matrix, radius):
     words = list(b._words)
     assert words == _down_edge_labels(b)
     assert words == sorted(words, key=lambda w: (len(w), w))
+
+
+@settings(derandomize=True, deadline=None)
+@given(matrices(), st.integers(0, 5))
+def test_flat_adjacency_is_a_graded_graph(matrix, radius):
+    # Slot v * n + s holds the id of v.s: edges are symmetric, change the
+    # depth by one, and -1 marks an edge out of the ball, so none is left
+    # exactly when the next ball adds nothing.
+    b = ball(matrix, radius)
+    n, edges = matrix.n, b._edges
+    assert len(edges) == len(b) * n
+    depths = [len(w) for w in b._words]
+    for i, u in enumerate(edges):
+        v, s = divmod(i, n)
+        if u >= 0:
+            assert edges[u * n + s] == v
+            assert abs(depths[u] - depths[v]) == 1
+        else:
+            assert depths[v] == radius
+    assert b.closed == (-1 not in edges) == (len(ball(matrix, radius + 1)) == len(b))
 
 
 def _multiplied_coset(members, w):

@@ -18,6 +18,7 @@ from coxkit import (
     preset,
     reduce_word,
     right_descents,
+    roots,
     validate_matrix,
     words,
 )
@@ -318,6 +319,26 @@ def test_reversed_longest_element_of_a5():
     assert len(group) == 720
     w0 = max(group.elements, key=lambda e: e.length)
     assert reduce_word(matrix, w0.letters[::-1]) == w0
+
+
+def test_root_kernel_ignores_generators_outside_the_word(monkeypatch):
+    # A5 plus a sixth generator with m = 11 and 13 to the first two: the
+    # reversed w0 of A5 runs in W_{0..4}, whose ring is Z (d = 1), not the
+    # degree-60 ring of lcm(11, 13).
+    a5 = _chain_matrix(5)
+    table = [list(row) + [2] for row in a5.orders] + [[2] * 5 + [1]]
+    table[0][5] = table[5][0] = 11
+    table[1][5] = table[5][1] = 13
+    matrix = validate_matrix(table)
+    w0 = max(full_group(a5).elements, key=lambda e: e.length)
+    word = bytes(w0.letters[::-1])
+    rings = []
+    ring = roots._ring
+    monkeypatch.setattr(roots, "_ring", lambda *args: rings.append(ring(*args)) or rings[-1])
+    canonical, left, right = roots.reduce(matrix, word, 1 << len(word).bit_length())
+    assert canonical == bytes(w0.letters)
+    assert left == right == bytes(range(5))
+    assert [r.d for r in rings] == [1]
 
 
 def test_inverse_properties_over_ball(b3, g1):
